@@ -66,5 +66,5 @@ func NewCtx(id, n int, p *sim.Proc, be Backend, ws *Workspace, cfg *topo.Config,
 }
 
 // SetProc binds the context to its simulation process (called by the
-// run harness once the processor goroutine starts).
+// run harness once the processor process starts).
 func (c *Ctx) SetProc(p *sim.Proc) { c.p = p }

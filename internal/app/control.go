@@ -33,7 +33,7 @@ type Boundary struct {
 
 // StateDigest computes the live-state fingerprint at this cut: engine/LP
 // heaps and clocks, NI pools and reliable-delivery flows, protocol
-// tables and machines, page contents, fault-stream cursors. It walks
+// tables and mailboxes, page contents, fault-stream cursors. It walks
 // the whole simulator state, so call it only when the digest is
 // actually wanted (checkpoint writes, verification cuts). The value is
 // comparable only between runs in the same execution mode — a parallel
@@ -176,7 +176,7 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl *RunControl) (
 		nd, cpu := i/cfg.ProcsPerNode, i%cfg.ProcsPerNode
 		be := NewSVMBackend(sys, nd, cpu)
 		ctxs[i] = NewCtx(i, n, nil, be, ws, &cfg, mi)
-		// Each processor goroutine lives on its node's logical process
+		// Each processor process lives on its node's logical process
 		// (LPNode is the engine itself in a serial run).
 		eng.LPNode(nd).Go(a.Name()+"-p"+strconv.Itoa(i), func(p *sim.Proc) {
 			ctxs[i].p = p

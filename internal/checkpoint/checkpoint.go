@@ -1,13 +1,13 @@
 // Package checkpoint implements deterministic checkpoint/restore for
 // soak-scale simulation runs.
 //
-// A Go simulation whose compute processors are goroutines cannot
-// serialize their stacks, so a checkpoint is not a byte image of the
+// A Go simulation whose processes are coroutines cannot serialize
+// their stacks, so a checkpoint is not a byte image of the
 // process. Instead it records the *cut point* of a deterministic run —
 // the number of trace events emitted, the SHA-256 midstate of the
 // canonical trace prefix, the virtual clock, and a digest of the live
 // simulator state (event heaps, pools, version-vector tables, protocol
-// machines, reliable-delivery flows, fault cursors, collective trees;
+// mailboxes, reliable-delivery flows, fault cursors, collective trees;
 // see the DigestInto methods across internal/...) — plus everything
 // needed to rebuild the run from its inputs. Restore re-executes the
 // run from event zero with trace emission suppressed up to the cut,
@@ -16,7 +16,7 @@
 // and then continues normally. The resumed trace is byte-identical to
 // an uninterrupted run by construction, and the verification turns "by
 // construction" into a checked invariant. Soak mode (genima.Soak)
-// checkpoints at run boundaries, where no goroutine state is live at
+// checkpoints at run boundaries, where no process state is live at
 // all, so its restores are true O(1) cursor seeks.
 //
 // The on-disk format is versioned and checksummed: a fixed header

@@ -241,7 +241,7 @@ func (n *Node) barrierBase(p *sim.Proc, seq int) sim.Time {
 	copy(arrive.vc, n.vc)
 	arrive.intervals = n.appendIntervalsAfter(arrive.intervals, n.ID, prevSelf, n.vc[n.ID])
 	if n.ID == 0 {
-		n.pm.post(localMsg(vmmc.MsgBarArrive, arrive))
+		n.mb.Send(localMsg(vmmc.MsgBarArrive, arrive))
 	} else {
 		n.ep.SendInterrupt(p, 0, arrive.wireSize(), vmmc.MsgBarArrive, arrive)
 	}
@@ -267,7 +267,7 @@ func (n *Node) barrierBase(p *sim.Proc, seq int) sim.Time {
 }
 
 // Barrier arrival aggregation at the master runs on the protocol
-// machine: see barArrive/pmBarRel in handler.go.
+// process: see handleBarArrive in handler.go.
 
 // handleBarRelease delivers the release to the waiting node leader.
 func (n *Node) handleBarRelease(m *barReleaseMsg) {

@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"genima/internal/memory"
 	"genima/internal/sim"
@@ -207,7 +208,7 @@ type Node struct {
 
 	// eng is the node's logical process. In a serial run it is the
 	// system engine; in a parallel run every engine-context action of
-	// this node (protocol machine resumptions, gate wakeups) must be
+	// this node (protocol process wakeups, gate wakeups) must be
 	// scheduled here so it stays on the node's own event heap.
 	eng *sim.Engine
 
@@ -237,16 +238,16 @@ type Node struct {
 	locks map[int]*nodeLock
 
 	// lockDir is the Base-path home-side lock directory for locks homed
-	// at this node (only the home's protocol machine touches it).
+	// at this node (only the home's protocol process touches it).
 	lockDir map[int]*lockMeta
 
 	// Interval arena backing for intervals created by this node.
 	ivChunk []interval
 	ivPages []int32
 
-	// The floating protocol process: a resumable state machine (see
-	// handler.go), not a goroutine.
-	pm protoMachine
+	// mb is the floating protocol process's mailbox: interrupt-class
+	// messages and local requests, served by the process in handler.go.
+	mb sim.Mailbox[vmmc.Msg]
 
 	// Interrupt scheduling perturbation, charged round-robin to the
 	// node's compute processors at their next compute step.
@@ -312,9 +313,8 @@ func newNode(s *System, id int) *Node {
 		n.barEpochs[i].vc = cut()
 		n.barEpochs[i].mVC = cut()
 	}
-	n.pm.n = n
 	n.ep.Perturb = n.perturb
-	n.ep.Sink = &n.pm
+	n.ep.Sink = &n.mb
 	return n
 }
 
@@ -345,10 +345,11 @@ func (n *Node) start() {
 	if n.sys.Feat.RF {
 		n.ep.FetchServer = n.serveFetch
 	}
-	// The floating protocol process (n.pm) exists in all configurations
-	// (some residual interrupt-class traffic exists until GeNIMA), but
-	// under GeNIMA it never receives a message. As a state machine it
-	// needs no startup event: it runs only when a message arrives.
+	// The floating protocol process exists in all configurations (some
+	// residual interrupt-class traffic exists until GeNIMA), but under
+	// GeNIMA it never receives a message. It needs no startup event: it
+	// first runs when a message arrives.
+	sim.Serve(n.eng, "proto-n"+strconv.Itoa(n.ID), &n.mb, n.serveMsg)
 }
 
 // perturb charges interrupt scheduling perturbation to the next victim

@@ -231,14 +231,11 @@ func (n *Node) sendVersionMarker(p *sim.Proc, home, pg int, seq uint64, d *diffM
 	n.ep.DepositTo(p, home, 16, "diff-done", vm, verMarkDel)
 }
 
-// Packed diff application runs on the home's protocol machine (Base
-// path): see pmDiffApply/pmRetryLoop in handler.go, which also retry
-// queued page requests after the version advances.
-
 // bumpVersion advances the applied-version row for a page homed here
 // and wakes local accessors waiting on the home copy. Queued Base page
-// requests are retried only by the protocol machine's diff body — the
-// sole context where they can become answerable.
+// requests are retried only by the protocol process's packed-diff body
+// (applyPackedDiff) — the sole context where they can become
+// answerable.
 func (n *Node) bumpVersion(pg, src int, seq uint64) {
 	if row := n.homeVer.row(pg); row[src] < seq {
 		row[src] = seq

@@ -8,7 +8,7 @@ import (
 
 // DigestInto folds the whole protocol system's live state — per-node
 // page tables, vector clocks, flat version-vector tables, lock caches,
-// barrier epoch rings, the resumable protocol machine, and the pooled
+// barrier epoch rings, the protocol process's mailbox, and the pooled
 // free lists — into d, for checkpoint verification. Maps are folded in
 // sorted key order; pooled free lists contribute their lengths (their
 // pointer identities are not portable across processes).
@@ -90,7 +90,15 @@ func (n *Node) digestInto(d *sim.Digest) {
 		d.U64(uint64(n.lockDir[id].lastOwner))
 	}
 
-	n.pm.digestInto(d)
+	// The protocol process: its queued messages and whether it is
+	// parked idle in the mailbox (its stack, like every compute
+	// processor's, is not digested).
+	d.U64(uint64(n.mb.Len()))
+	for _, m := range n.mb.Queued() {
+		d.U64(uint64(m.Src))
+		d.U64(uint64(m.Kind))
+	}
+	d.U64(uint64(n.mb.Waiting()))
 
 	d.U64(uint64(n.barSeq))
 	d.U64(n.lastBarSelfSeq)
@@ -140,31 +148,4 @@ func (t *vecTable) digestInto(d *sim.Digest) {
 	for _, v := range t.a {
 		d.U64(v)
 	}
-}
-
-func (pm *protoMachine) digestInto(d *sim.Digest) {
-	d.U64(uint64(pm.st))
-	d.U64(uint64(len(pm.q) - pm.head))
-	for i := pm.head; i < len(pm.q); i++ {
-		m := &pm.q[i]
-		d.U64(uint64(m.Src))
-		d.U64(uint64(m.Kind))
-	}
-	d.Bool(pm.gateBlocked)
-	d.U64(uint64(pm.sendDst))
-	d.U64(uint64(pm.sendRem))
-	d.Str(pm.sendLabel)
-	d.U64(uint64(pm.sendMeta))
-	d.Bool(pm.sendSG)
-	d.U64(uint64(pm.sendRet))
-	d.Bool(pm.d != nil)
-	d.U64(uint64(pm.retryPage))
-	d.Bool(pm.lkReq != nil)
-	d.Bool(pm.ivCur != nil)
-	d.U64(pm.ivSeq)
-	d.U64(uint64(pm.pageIdx))
-	d.U64(uint64(pm.fpPg))
-	d.U64(uint64(pm.fpHome))
-	d.U64(uint64(pm.runIdx))
-	d.U64(uint64(pm.noticeDst))
 }

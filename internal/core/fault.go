@@ -230,7 +230,3 @@ func (n *Node) serveFetch(req vmmc.FetchReq) vmmc.FetchReply {
 		Size:    n.sys.Cfg.PageSize + pageReplyOverhead,
 	}
 }
-
-// Base page-request servicing (handle, reply, pending retry) lives on
-// the protocol machine: see pmDispatch/startReply/pmRetryLoop in
-// handler.go.

@@ -108,7 +108,7 @@ func (n *Node) lock(id int) *nodeLock {
 func (s *System) lockHome(id int) int { return id % s.Cfg.Nodes }
 
 // lockMetaFor returns the home-side chain tail for a lock homed at this
-// node (callers must be the home's protocol machine).
+// node (callers must be the home's protocol process).
 func (n *Node) lockMetaFor(id int) *lockMeta {
 	m := n.lockDir[id]
 	if m == nil {
@@ -172,7 +172,7 @@ func (n *Node) acquireBase(p *sim.Proc, lk *nodeLock) {
 		// The home is this node: the chain lookup still runs on the
 		// protocol process (it owns the directory), posted locally
 		// without a network hop or interrupt cost.
-		n.pm.post(localMsg(vmmc.MsgLockReq, req))
+		n.mb.Send(localMsg(vmmc.MsgLockReq, req))
 	} else {
 		n.ep.SendInterrupt(p, home, size, vmmc.MsgLockReq, req)
 	}
@@ -271,6 +271,6 @@ func (n *Node) receiveGrant(g *lockGrant) {
 }
 
 // Lock request handling at the home and the previous owner runs on the
-// protocol machine: see pmDispatch (MsgLockReq/MsgLockFwd) and lockFwd
-// in handler.go. The pooled request is forwarded as-is (identical wire
-// size) and released by the node that finally grants or parks it.
+// protocol process: see handleLockReq/handleLockFwd in handler.go. The
+// pooled request is forwarded as-is (identical wire size) and released
+// by the node that finally grants or parks it.

@@ -72,7 +72,7 @@ func TestInterruptLadder(t *testing.T) {
 	}
 }
 
-// TestUnknownProtocolMessagePanics: the protocol machine refuses
+// TestUnknownProtocolMessagePanics: the protocol process refuses
 // messages outside the typed enum loudly rather than dropping them —
 // a corrupted or future message kind is a protocol bug, not noise.
 func TestUnknownProtocolMessagePanics(t *testing.T) {
@@ -86,6 +86,6 @@ func TestUnknownProtocolMessagePanics(t *testing.T) {
 			t.Fatalf("panic %q does not mention the unknown message", msg)
 		}
 	}()
-	tc.sys.Node(0).pm.post(vmmc.Msg{Src: 0, Kind: vmmc.MsgKind(99)})
+	tc.sys.Node(0).mb.Send(vmmc.Msg{Src: 0, Kind: vmmc.MsgKind(99)})
 	tc.eng.RunUntilQuiet()
 }

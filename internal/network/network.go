@@ -31,14 +31,8 @@ func (l *Link) ServiceTime(n int) sim.Time {
 	return l.fixed + sim.Time(float64(n)*l.perByte)
 }
 
-// Transfer enqueues an n-byte packet; fn runs when the last byte is on
-// the far side.
-func (l *Link) Transfer(n int, fn func(start, end sim.Time)) {
-	l.res.Enqueue(l.ServiceTime(n), fn)
-}
-
-// TransferHandler is Transfer on the typed event path: h.Run fires when
-// the last byte is on the far side, with no closure allocation.
+// TransferHandler enqueues an n-byte packet: h.Run fires when the last
+// byte is on the far side.
 func (l *Link) TransferHandler(n int, h sim.Handler) {
 	l.res.EnqueueHandler(l.ServiceTime(n), h)
 }
@@ -74,12 +68,8 @@ func NewSwitchNamed(eng *sim.Engine, name string, fixed sim.Time) *Switch {
 	return &Switch{res: sim.NewResource(eng, name), fixed: fixed}
 }
 
-// Route enqueues a routing decision; fn runs when the head flit exits.
-func (s *Switch) Route(fn func(start, end sim.Time)) {
-	s.res.Enqueue(s.fixed, fn)
-}
-
-// RouteHandler is Route on the typed event path.
+// RouteHandler enqueues a routing decision: h.Run fires when the head
+// flit exits.
 func (s *Switch) RouteHandler(h sim.Handler) {
 	s.res.EnqueueHandler(s.fixed, h)
 }
@@ -191,52 +181,4 @@ func (f *Fabric) UncontendedNetRoute(src, dst, n int) sim.Time {
 	return f.Out[src].ServiceTime(n) +
 		sim.Time(len(f.Route(src, dst)))*f.Switch.ServiceTime() +
 		f.In[dst].ServiceTime(n)
-}
-
-// Send moves an n-byte packet from src to dst through the fabric
-// stages (out-link, each switch on the compiled route, in-link); fn
-// runs when the last byte reaches dst's NI, with inject being the time
-// the packet finished entering the network (end of the out-link stage,
-// the paper's "LANai insertion" boundary).
-func (f *Fabric) Send(src, dst, n int, fn func(inject, arrive sim.Time)) {
-	route := f.Route(src, dst)
-	f.Out[src].Transfer(n, func(_, outEnd sim.Time) {
-		var hop func(i int)
-		hop = func(i int) {
-			if i == len(route) {
-				f.In[dst].Transfer(n, func(_, inEnd sim.Time) {
-					fn(outEnd, inEnd)
-				})
-				return
-			}
-			f.Switches[route[i]].Route(func(_, _ sim.Time) { hop(i + 1) })
-		}
-		hop(0)
-	})
-}
-
-// Broadcast moves one n-byte packet from src through the out-link and
-// its first switch once, then replicates it toward every destination
-// (remaining route hops, then the in-link — the NI-broadcast extension
-// of the paper's §5). fn runs once per destination.
-func (f *Fabric) Broadcast(src int, dsts []int, n int, fn func(dst int, inject, arrive sim.Time)) {
-	f.Out[src].Transfer(n, func(_, outEnd sim.Time) {
-		f.Switches[f.Desc.FirstSwitch(src)].Route(func(_, _ sim.Time) {
-			for _, dst := range dsts {
-				route := f.Route(src, dst)
-				var hop func(i int)
-				d := dst
-				hop = func(i int) {
-					if i == len(route) {
-						f.In[d].Transfer(n, func(_, inEnd sim.Time) {
-							fn(d, outEnd, inEnd)
-						})
-						return
-					}
-					f.Switches[route[i]].Route(func(_, _ sim.Time) { hop(i + 1) })
-				}
-				hop(1)
-			}
-		})
-	})
 }

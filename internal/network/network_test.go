@@ -8,6 +8,54 @@ import (
 	"genima/internal/topo"
 )
 
+// Test drivers on the typed event forms: hfn adapts a func to
+// sim.Handler, and send/broadcast walk a packet over the fabric hop by
+// hop with TransferHandler/RouteHandler, the way the NI transit does.
+
+type hfn func(start, end sim.Time)
+
+func (f hfn) Run(start, end sim.Time) { f(start, end) }
+
+func at(eng *sim.Engine, t sim.Time, f func()) {
+	eng.AtHandler(t, t, hfn(func(_, _ sim.Time) { f() }))
+}
+
+// send moves an n-byte packet src->dst (out-link, every switch on the
+// route, in-link); done gets the injection time (end of the out-link
+// stage) and the arrival time.
+func send(f *Fabric, src, dst, n int, done func(inject, arrive sim.Time)) {
+	route := f.Route(src, dst)
+	f.Out[src].TransferHandler(n, hfn(func(_, outEnd sim.Time) {
+		hops(f, route, 0, dst, n, outEnd, done)
+	}))
+}
+
+// hops continues a packet from route[i] through the in-link of dst.
+func hops(f *Fabric, route []int16, i, dst, n int, inject sim.Time, done func(inject, arrive sim.Time)) {
+	if i == len(route) {
+		f.In[dst].TransferHandler(n, hfn(func(_, end sim.Time) { done(inject, end) }))
+		return
+	}
+	f.Switches[route[i]].RouteHandler(hfn(func(_, _ sim.Time) {
+		hops(f, route, i+1, dst, n, inject, done)
+	}))
+}
+
+// broadcast moves one packet through src's out-link and first switch
+// once, then replicates it down every destination's remaining route.
+func broadcast(f *Fabric, src int, dsts []int, n int, done func(dst int, inject, arrive sim.Time)) {
+	f.Out[src].TransferHandler(n, hfn(func(_, outEnd sim.Time) {
+		f.Switches[f.Desc.FirstSwitch(src)].RouteHandler(hfn(func(_, _ sim.Time) {
+			for _, dst := range dsts {
+				d := dst
+				hops(f, f.Route(src, d), 1, d, n, outEnd, func(inject, arrive sim.Time) {
+					done(d, inject, arrive)
+				})
+			}
+		}))
+	}))
+}
+
 func TestLinkServiceTime(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLink(eng, "l", sim.Micro(1), 1.0) // 1 ns/byte
@@ -20,9 +68,9 @@ func TestLinkSerializesTransfers(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLink(eng, "l", 0, 1.0)
 	var ends []sim.Time
-	eng.At(0, func() {
-		l.Transfer(100, func(_, e sim.Time) { ends = append(ends, e) })
-		l.Transfer(100, func(_, e sim.Time) { ends = append(ends, e) })
+	at(eng, 0, func() {
+		l.TransferHandler(100, hfn(func(_, e sim.Time) { ends = append(ends, e) }))
+		l.TransferHandler(100, hfn(func(_, e sim.Time) { ends = append(ends, e) }))
 	})
 	eng.RunUntilQuiet()
 	if ends[0] != 100 || ends[1] != 200 {
@@ -35,8 +83,8 @@ func TestFabricEndToEnd(t *testing.T) {
 	cfg := topo.Default()
 	f := NewFabric(eng, &cfg)
 	var inject, arrive sim.Time
-	eng.At(0, func() {
-		f.Send(0, 2, 4096, func(i, a sim.Time) { inject, arrive = i, a })
+	at(eng, 0, func() {
+		send(f, 0, 2, 4096, func(i, a sim.Time) { inject, arrive = i, a })
 	})
 	eng.RunUntilQuiet()
 	if inject <= 0 || arrive <= inject {
@@ -70,9 +118,9 @@ func TestSwitchSharedAcrossPairs(t *testing.T) {
 	cfg := topo.Default()
 	f := NewFabric(eng, &cfg)
 	var arrivals []sim.Time
-	eng.At(0, func() {
-		f.Send(0, 1, 64, func(_, a sim.Time) { arrivals = append(arrivals, a) })
-		f.Send(2, 3, 64, func(_, a sim.Time) { arrivals = append(arrivals, a) })
+	at(eng, 0, func() {
+		send(f, 0, 1, 64, func(_, a sim.Time) { arrivals = append(arrivals, a) })
+		send(f, 2, 3, 64, func(_, a sim.Time) { arrivals = append(arrivals, a) })
 	})
 	eng.RunUntilQuiet()
 	if len(arrivals) != 2 {
@@ -145,12 +193,12 @@ func TestBroadcastFanOutIndependentInLinks(t *testing.T) {
 	cfg := topo.Default()
 	f := NewFabric(eng, &cfg)
 	// Pre-load node 2's in-link with a long transfer.
-	eng.At(0, func() {
-		f.In[2].Transfer(cfg.MaxPacket, func(_, _ sim.Time) {})
+	at(eng, 0, func() {
+		f.In[2].TransferHandler(cfg.MaxPacket, hfn(func(_, _ sim.Time) {}))
 	})
 	arrive := map[int]sim.Time{}
-	eng.At(0, func() {
-		f.Broadcast(0, []int{1, 2, 3}, 64, func(dst int, _, a sim.Time) {
+	at(eng, 0, func() {
+		broadcast(f, 0, []int{1, 2, 3}, 64, func(dst int, _, a sim.Time) {
 			arrive[dst] = a
 		})
 	})
@@ -189,12 +237,12 @@ func TestMultiStageSendMatchesRouteTime(t *testing.T) {
 		t.Fatalf("route 0->1 has %d hops, want 1", got)
 	}
 	var sameLeaf, crossLeaf sim.Time
-	eng.At(0, func() {
-		f.Send(0, 1, 256, func(_, a sim.Time) { sameLeaf = a })
+	at(eng, 0, func() {
+		send(f, 0, 1, 256, func(_, a sim.Time) { sameLeaf = a })
 	})
 	eng.RunUntilQuiet()
-	eng.At(eng.Now(), func() {
-		f.Send(0, 5, 256, func(_, a sim.Time) { crossLeaf = a })
+	at(eng, eng.Now(), func() {
+		send(f, 0, 5, 256, func(_, a sim.Time) { crossLeaf = a })
 	})
 	start := eng.Now()
 	eng.RunUntilQuiet()
@@ -212,9 +260,9 @@ func TestMultiStageSendMatchesRouteTime(t *testing.T) {
 func TestPerStageBusyAccounting(t *testing.T) {
 	eng, f, cfg := clos2Fabric(t, 8, 4)
 	done := 0
-	eng.At(0, func() {
-		f.Send(0, 1, 64, func(_, _ sim.Time) { done++ }) // leaf-only
-		f.Send(0, 5, 64, func(_, _ sim.Time) { done++ }) // leaf, spine, leaf
+	at(eng, 0, func() {
+		send(f, 0, 1, 64, func(_, _ sim.Time) { done++ }) // leaf-only
+		send(f, 0, 5, 64, func(_, _ sim.Time) { done++ }) // leaf, spine, leaf
 	})
 	eng.RunUntilQuiet()
 	if done != 2 {
@@ -236,8 +284,8 @@ func TestPerStageBusyAccounting(t *testing.T) {
 func TestMultiStageBroadcastTraversesFirstSwitchOnce(t *testing.T) {
 	eng, f, cfg := clos2Fabric(t, 8, 4)
 	arrive := map[int]sim.Time{}
-	eng.At(0, func() {
-		f.Broadcast(0, []int{1, 5}, 64, func(dst int, _, a sim.Time) { arrive[dst] = a })
+	at(eng, 0, func() {
+		broadcast(f, 0, []int{1, 5}, 64, func(dst int, _, a sim.Time) { arrive[dst] = a })
 	})
 	eng.RunUntilQuiet()
 	if len(arrive) != 2 {

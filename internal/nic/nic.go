@@ -307,24 +307,6 @@ func (ni *NI) launch(pkt *Packet) {
 	t.start()
 }
 
-// LaunchPosted launches a packet whose post-queue slot the caller has
-// already claimed via TryAcquire/Gate.Enqueue (machine-context senders
-// cannot block in Post, so they drive the admission step themselves).
-// The slot is released when the source DMA completes, exactly as for
-// Post.
-func (ni *NI) LaunchPosted(pkt *Packet) { ni.launch(pkt) }
-
-// LaunchPostedBroadcast is LaunchPosted for a broadcast template (see
-// PostBroadcast for the dsts/onDeliver semantics).
-func (ni *NI) LaunchPostedBroadcast(tmpl *Packet, dsts []int, onDeliver func(dst int)) {
-	tmpl.tPost = ni.eng.Now()
-	t := ni.newTransit(tmpl)
-	t.holdsSlot = true
-	t.dsts = dsts
-	t.bcastDeliver = onDeliver
-	t.start()
-}
-
 // PostBroadcast submits one packet that the fabric replicates to every
 // node in dsts (the NI-broadcast extension, paper §5). The host pays
 // one post; each destination receives its own copy of the packet (taken
@@ -344,34 +326,16 @@ func (ni *NI) PostBroadcast(p *sim.Proc, tmpl *Packet, dsts []int, onDeliver fun
 	t.start()
 }
 
-// DepositLocal models the NI DMA-ing size bytes into its own host's
-// memory (e.g. a lock grant handed to a locally spinning acquirer); fn
-// runs when the DMA completes.
-func (ni *NI) DepositLocal(size int, fn func()) {
-	ni.PCI.Enqueue(ni.pciService(size), func(_, _ sim.Time) {
-		if fn != nil {
-			fn()
-		}
-	})
-}
-
-// DepositLocalHandler is DepositLocal on the typed event path: h.Run
-// fires when the DMA completes, with no closure allocation.
+// DepositLocalHandler models the NI DMA-ing size bytes into its own
+// host's memory (e.g. a lock grant handed to a locally spinning
+// acquirer); h.Run fires when the DMA completes.
 func (ni *NI) DepositLocalHandler(size int, h sim.Handler) {
 	ni.PCI.EnqueueHandler(ni.pciService(size), h)
 }
 
-// FirmwareRun charges service time on this NI's firmware processor and
-// runs fn when it completes (local firmware work with no packet).
-func (ni *NI) FirmwareRun(service sim.Time, fn func()) {
-	ni.Firmware.Enqueue(service, func(_, _ sim.Time) {
-		if fn != nil {
-			fn()
-		}
-	})
-}
-
-// FirmwareRunHandler is FirmwareRun on the typed event path.
+// FirmwareRunHandler charges service time on this NI's firmware
+// processor and fires h.Run when it completes (local firmware work with
+// no packet).
 func (ni *NI) FirmwareRunHandler(service sim.Time, h sim.Handler) {
 	ni.Firmware.EnqueueHandler(service, h)
 }

@@ -145,10 +145,18 @@ func TestFirmwareHandledPacketSkipsHostDMA(t *testing.T) {
 	}
 }
 
+// evFn adapts a func to sim.Handler for test-scheduled events.
+type evFn func()
+
+func (f evFn) Run(_, _ sim.Time) { f() }
+
+// at0 runs f in engine context at time zero.
+func at0(eng *sim.Engine, f func()) { eng.AtHandler(0, 0, evFn(f)) }
+
 func TestFirmwareSendSkipsPostQueue(t *testing.T) {
 	eng, sys, _ := newTestSystem(t)
 	delivered := false
-	eng.At(0, func() {
+	at0(eng, func() {
 		sys.NIs[2].FirmwareSend(&Packet{Src: 2, Dst: 3, Size: 16, Kind: "grant",
 			OnDeliver: func() { delivered = true }}, false)
 	})
@@ -192,7 +200,7 @@ func TestPostFromEventOverflowCounted(t *testing.T) {
 	cfg.PostQueueDepth = 2
 	sys := NewSystem(eng, &cfg)
 	delivered := 0
-	eng.At(0, func() {
+	at0(eng, func() {
 		// Five posts in one event: the first two claim the depth-2
 		// queue, the rest are accepted past it and must be counted.
 		for i := 0; i < 5; i++ {

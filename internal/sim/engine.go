@@ -3,13 +3,14 @@
 // The engine advances a virtual clock (int64 nanoseconds) by executing
 // events in timestamp order. Two styles of simulated activity coexist:
 //
-//   - Plain events: closures scheduled with At/After, executed inline by
-//     the engine loop. Used for message deliveries, DMA completions, etc.
-//   - Processes: goroutines that model sequential agents (simulated
-//     processors, protocol handlers). Exactly one goroutine — either the
-//     engine loop or a single process — runs at any instant; control is
-//     handed over synchronously, so simulations are deterministic and
-//     race-free without locks.
+//   - Events: typed Handler records scheduled with AtHandler (or through
+//     a Resource), executed inline by the engine loop. Used for message
+//     deliveries, DMA completions, etc.
+//   - Processes: coroutines (Proc) that model sequential agents
+//     (simulated processors, the per-node protocol process). A process
+//     runs only when an event resumes it and hands control straight back
+//     when it blocks, so exactly one activity runs at any instant and
+//     simulations are deterministic and race-free without locks.
 //
 // Ties between events at the same timestamp are broken by scheduling
 // order, which makes runs bit-reproducible.
@@ -39,19 +40,17 @@ func Micro(d float64) Time { return Time(d * float64(Microsecond)) }
 // reservation's begin time when the event was scheduled by a Resource
 // (see Resource.EnqueueHandler); end is the event's own timestamp,
 // equal to Engine.Now() at dispatch. Hot paths (the NI packet pipeline)
-// implement Handler on pooled records; cold paths keep using At/After
-// with plain closures.
+// implement Handler on pooled records, so scheduling allocates nothing.
 type Handler interface {
 	Run(start, end Time)
 }
 
-// event is one queue entry. Exactly one of fn and h is set; h events
-// additionally carry the start word handed to Handler.Run.
+// event is one queue entry: the handler and the start word handed to
+// its Run.
 type event struct {
 	at    Time
 	seq   uint64
 	start Time
-	fn    func()
 	h     Handler
 }
 
@@ -66,8 +65,8 @@ func eventBefore(x, y *event) bool {
 // per push) and dispatches Less/Swap through an interface. The 4-ary
 // shape halves the tree depth, so pops touch fewer cache lines than a
 // binary heap on the deep queues the protocol simulations build.
-// Vacated slots are zeroed on pop so executed event closures (and
-// everything they capture) become garbage-collectable immediately.
+// Vacated slots are zeroed on pop so executed handlers (and everything
+// they reference) become garbage-collectable immediately.
 type eventQueue struct {
 	a []event
 }
@@ -94,7 +93,7 @@ func (q *eventQueue) pop() event {
 	top := a[0]
 	n := len(a) - 1
 	a[0] = a[n]
-	a[n] = event{} // release the closure to the GC
+	a[n] = event{} // release the handler to the GC
 	q.a = a[:n]
 	i := 0
 	for {
@@ -128,11 +127,7 @@ type Engine struct {
 	seq    uint64
 	events eventQueue
 
-	// park receives control back from a running process.
-	park chan struct{}
-
-	procs   []*Proc
-	running int // number of live (not finished) processes
+	procs   []*Proc // every process spawned here, released when a run ends
 	stopped bool
 
 	nEvents uint64
@@ -164,7 +159,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{park: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -208,24 +203,11 @@ func (e *Engine) nextKey() uint64 {
 	return provBit | e.curPos<<actBits | a
 }
 
-// At schedules fn to run at virtual time t. Scheduling in the past panics:
-// it would make the clock non-monotonic.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
-	}
-	e.events.push(event{at: t, seq: e.nextKey(), fn: fn})
-}
-
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
-
-// AtHandler schedules h.Run(start, t) at virtual time t. It is the
-// allocation-free counterpart of At: the handler value is stored in the
-// event queue slot directly (no closure), so scheduling a pooled record
-// costs zero heap allocations. Ties with At-scheduled events are broken
-// by the same shared seq counter, so interleaving handler and closure
-// events preserves the global FIFO tie-break order.
+// AtHandler schedules h.Run(start, t) at virtual time t. The handler
+// value is stored in the event queue slot directly, so scheduling a
+// pooled record costs zero heap allocations. Ties are broken by
+// scheduling order. Scheduling in the past panics: it would make the
+// clock non-monotonic.
 func (e *Engine) AtHandler(t, start Time, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
@@ -238,20 +220,26 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events until the event queue is empty, Stop is called, or
 // the optional deadline (>0) is reached. It returns the final virtual time.
+// Unless the deadline ended it (the run can then be resumed), the run is
+// over: every process still parked is released, and so is every process
+// when an event or a process body panics out of Run.
 func (e *Engine) Run(deadline Time) Time {
+	paused := false
+	defer func() {
+		if !paused {
+			e.releaseProcs()
+		}
+	}()
 	for !e.stopped && e.events.len() > 0 {
 		if deadline > 0 && e.events.peek().at > deadline {
 			e.now = deadline
+			paused = true
 			break
 		}
 		ev := e.events.pop()
 		e.now = ev.at
 		e.nEvents++
-		if ev.h != nil {
-			ev.h.Run(ev.start, ev.at)
-		} else {
-			ev.fn()
-		}
+		ev.h.Run(ev.start, ev.at)
 	}
 	return e.now
 }
@@ -364,11 +352,7 @@ func (e *Engine) runWindow(h Time) {
 		e.curPos = e.logStart + uint64(len(e.roundLog))
 		e.actIdx = 0
 		e.roundLog = append(e.roundLog, logRec{at: ev.at, key: ev.seq})
-		if ev.h != nil {
-			ev.h.Run(ev.start, ev.at)
-		} else {
-			ev.fn()
-		}
+		ev.h.Run(ev.start, ev.at)
 	}
 	e.inRound = false
 }
@@ -390,102 +374,7 @@ func (e *Engine) runLone() {
 		e.curOrd = cl.nextOrd
 		cl.nextOrd++
 		e.actIdx = 0
-		if ev.h != nil {
-			ev.h.Run(ev.start, ev.at)
-		} else {
-			ev.fn()
-		}
+		ev.h.Run(ev.start, ev.at)
 	}
 	cl.lone = nil
-}
-
-// Proc is a simulated sequential agent backed by a goroutine. All Proc
-// methods that block (Sleep, WaitOn, ...) must be called from the process's
-// own goroutine.
-type Proc struct {
-	eng  *Engine
-	name string
-	wake chan struct{}
-	done bool
-}
-
-// Go spawns a new process running body. The process starts at the current
-// virtual time (as a scheduled event, so Go may be called before Run).
-func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, wake: make(chan struct{})}
-	e.procs = append(e.procs, p)
-	e.running++
-	go func() {
-		<-p.wake // wait for first dispatch
-		body(p)
-		p.done = true
-		e.running--
-		e.park <- struct{}{} // return control to the engine loop
-	}()
-	e.AtHandler(e.now, e.now, p)
-	return p
-}
-
-// Name returns the process's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.eng.now }
-
-// Run implements Handler: a scheduled wakeup dispatches the process.
-// It exists so Sleep, Unpark, and Go can schedule dispatches through
-// the typed event path with no closure allocation; it is not meant to
-// be called directly.
-func (p *Proc) Run(_, _ Time) { p.dispatch() }
-
-// dispatch transfers control from the engine loop to the process and
-// waits for it to yield back. It must run in engine (event) context.
-func (p *Proc) dispatch() {
-	if p.done {
-		panic("sim: dispatch of finished process " + p.name)
-	}
-	p.wake <- struct{}{}
-	<-p.eng.park
-}
-
-// yield returns control to the engine loop and blocks until the next
-// dispatch. It must run in process context.
-func (p *Proc) yield() {
-	p.eng.park <- struct{}{}
-	<-p.wake
-}
-
-// Sleep suspends the process for d nanoseconds of virtual time.
-func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		panic("sim: negative sleep")
-	}
-	if d == 0 {
-		return
-	}
-	t := p.eng.now + d
-	p.eng.AtHandler(t, t, p)
-	p.yield()
-}
-
-// SleepUntil suspends the process until virtual time t (no-op if t <= now).
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.eng.now {
-		return
-	}
-	p.Sleep(t - p.eng.now)
-}
-
-// Park suspends the process indefinitely; something else must hold a
-// reference and call Unpark (in engine/event or another process's context).
-func (p *Proc) Park() { p.yield() }
-
-// Unpark resumes a parked process at the current virtual time. It must be
-// called from engine (event) context — e.g. inside an event callback — or
-// via WaitQ/Mailbox which handle this correctly.
-func (p *Proc) Unpark() {
-	p.eng.AtHandler(p.eng.now, p.eng.now, p)
 }

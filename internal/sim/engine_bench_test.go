@@ -17,7 +17,7 @@ func BenchmarkEngineAtRun(b *testing.B) {
 	depth := 1024
 	nop := func() {}
 	for i := 0; i < depth; i++ {
-		e.At(Time(i), nop)
+		atFn(e, Time(i), nop)
 	}
 	b.ResetTimer()
 	t := Time(depth)
@@ -26,7 +26,7 @@ func BenchmarkEngineAtRun(b *testing.B) {
 		scheduled++
 	}
 	for i := 0; i < b.N; i++ {
-		e.At(t+Time(i), body)
+		atFn(e, t+Time(i), body)
 	}
 	e.RunUntilQuiet()
 	b.ReportMetric(float64(e.Events())/float64(b.N), "events/op")
@@ -57,10 +57,10 @@ func BenchmarkEventCascade(b *testing.B) {
 	tick = func() {
 		n++
 		if n < b.N {
-			e.After(10, tick)
+			afterFn(e, 10, tick)
 		}
 	}
-	e.After(10, tick)
+	afterFn(e, 10, tick)
 	b.ResetTimer()
 	e.RunUntilQuiet()
 	if n != b.N {
@@ -69,7 +69,7 @@ func BenchmarkEventCascade(b *testing.B) {
 }
 
 // BenchmarkProcSwitch measures a full process dispatch round trip
-// (engine -> goroutine -> engine) via 1-tick sleeps.
+// (engine -> coroutine -> engine) via 1-tick sleeps.
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEngine()
 	e.Go("switcher", func(p *Proc) {

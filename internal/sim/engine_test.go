@@ -9,9 +9,9 @@ import (
 func TestEventOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	atFn(e, 30, func() { got = append(got, 3) })
+	atFn(e, 10, func() { got = append(got, 1) })
+	atFn(e, 20, func() { got = append(got, 2) })
 	end := e.RunUntilQuiet()
 	if end != 30 {
 		t.Fatalf("end time = %d, want 30", end)
@@ -29,7 +29,7 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		atFn(e, 5, func() { got = append(got, i) })
 	}
 	e.RunUntilQuiet()
 	for i := 0; i < 10; i++ {
@@ -41,13 +41,13 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {
+	atFn(e, 100, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, func() {})
+		atFn(e, 50, func() {})
 	})
 	e.RunUntilQuiet()
 }
@@ -55,7 +55,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 func TestDeadline(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.At(1000, func() { fired = true })
+	atFn(e, 1000, func() { fired = true })
 	end := e.Run(500)
 	if fired {
 		t.Error("event beyond deadline fired")
@@ -72,10 +72,10 @@ func TestNestedScheduling(t *testing.T) {
 	ping = func() {
 		depth++
 		if depth < 100 {
-			e.After(7, ping)
+			afterFn(e, 7, ping)
 		}
 	}
-	e.After(7, ping)
+	afterFn(e, 7, ping)
 	end := e.RunUntilQuiet()
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
@@ -140,7 +140,7 @@ func TestParkUnpark(t *testing.T) {
 		p.Park()
 		woke = p.Now()
 	})
-	e.At(123, func() { target.Unpark() })
+	atFn(e, 123, func() { target.Unpark() })
 	e.RunUntilQuiet()
 	if woke != 123 {
 		t.Fatalf("woke at %d, want 123", woke)
@@ -159,7 +159,7 @@ func TestWaitQFIFO(t *testing.T) {
 			order = append(order, i)
 		})
 	}
-	e.At(100, func() {
+	atFn(e, 100, func() {
 		for q.WakeOne() {
 		}
 	})
@@ -184,7 +184,7 @@ func TestFlag(t *testing.T) {
 			t.Error("wait on set flag blocked")
 		}
 	})
-	e.At(55, func() { f.Set() })
+	atFn(e, 55, func() { f.Set() })
 	e.RunUntilQuiet()
 	if at != 55 {
 		t.Fatalf("flag wait released at %d, want 55", at)
@@ -207,7 +207,7 @@ func TestCounterThresholds(t *testing.T) {
 	}
 	for i := 1; i <= 5; i++ {
 		at := Time(i * 10)
-		e.At(at, func() { c.Add(1) })
+		atFn(e, at, func() { c.Add(1) })
 	}
 	e.RunUntilQuiet()
 	want := [3]Time{10, 30, 50}
@@ -225,8 +225,8 @@ func TestMailbox(t *testing.T) {
 			got = append(got, mb.Recv(p))
 		}
 	})
-	e.At(10, func() { mb.Send(1) })
-	e.At(20, func() { mb.Send(2); mb.Send(3) })
+	atFn(e, 10, func() { mb.Send(1) })
+	atFn(e, 20, func() { mb.Send(2); mb.Send(3) })
 	e.RunUntilQuiet()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("got %v", got)
@@ -237,12 +237,12 @@ func TestResourceFIFO(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "pci")
 	var ends []Time
-	e.At(0, func() {
-		r.Enqueue(100, func(s, en Time) { ends = append(ends, en) })
-		r.Enqueue(50, func(s, en Time) { ends = append(ends, en) })
+	atFn(e, 0, func() {
+		r.EnqueueHandler(100, spanHandler(func(s, en Time) { ends = append(ends, en) }))
+		r.EnqueueHandler(50, spanHandler(func(s, en Time) { ends = append(ends, en) }))
 	})
-	e.At(10, func() {
-		r.Enqueue(10, func(s, en Time) { ends = append(ends, en) })
+	atFn(e, 10, func() {
+		r.EnqueueHandler(10, spanHandler(func(s, en Time) { ends = append(ends, en) }))
 	})
 	e.RunUntilQuiet()
 	want := []Time{100, 150, 160}
@@ -264,8 +264,8 @@ func TestResourceIdleGap(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "link")
 	var starts []Time
-	e.At(0, func() { r.Enqueue(10, func(s, _ Time) { starts = append(starts, s) }) })
-	e.At(100, func() { r.Enqueue(10, func(s, _ Time) { starts = append(starts, s) }) })
+	atFn(e, 0, func() { r.EnqueueHandler(10, spanHandler(func(s, _ Time) { starts = append(starts, s) })) })
+	atFn(e, 100, func() { r.EnqueueHandler(10, spanHandler(func(s, _ Time) { starts = append(starts, s) })) })
 	e.RunUntilQuiet()
 	if starts[0] != 0 || starts[1] != 100 {
 		t.Fatalf("starts = %v; idle resource must start immediately", starts)
@@ -337,7 +337,7 @@ func TestEventOrderProperty(t *testing.T) {
 			if at > maxT {
 				maxT = at
 			}
-			e.At(at, func() { seen = append(seen, e.Now()) })
+			atFn(e, at, func() { seen = append(seen, e.Now()) })
 		}
 		end := e.RunUntilQuiet()
 		if end != maxT {
@@ -368,8 +368,8 @@ func TestResourceFIFOProperty(t *testing.T) {
 		for i := 0; i < jobs; i++ {
 			at := Time(rng.Intn(1000))
 			svc := Time(rng.Intn(100) + 1)
-			e.At(at, func() {
-				r.Enqueue(svc, func(s, en Time) { spans = append(spans, span{s, en}) })
+			atFn(e, at, func() {
+				r.EnqueueHandler(svc, spanHandler(func(s, en Time) { spans = append(spans, span{s, en}) }))
 			})
 		}
 		e.RunUntilQuiet()
@@ -397,8 +397,8 @@ func TestMicroConversion(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.At(10, func() { ran++; e.Stop() })
-	e.At(20, func() { ran++ })
+	atFn(e, 10, func() { ran++; e.Stop() })
+	atFn(e, 20, func() { ran++ })
 	e.RunUntilQuiet()
 	if ran != 1 {
 		t.Fatalf("ran %d events after Stop, want 1", ran)
@@ -422,19 +422,19 @@ func TestSleepUntilPastIsNoop(t *testing.T) {
 func TestResourceBacklog(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "x")
-	e.At(0, func() {
-		r.Enqueue(100, nil)
-		r.Enqueue(100, nil)
+	atFn(e, 0, func() {
+		r.Reserve(100)
+		r.Reserve(100)
 		if got := r.Backlog(); got != 200 {
 			t.Errorf("backlog = %d, want 200", got)
 		}
 	})
-	e.At(150, func() {
+	atFn(e, 150, func() {
 		if got := r.Backlog(); got != 50 {
 			t.Errorf("backlog at t=150 = %d, want 50", got)
 		}
 	})
-	e.At(250, func() {
+	atFn(e, 250, func() {
 		if got := r.Backlog(); got != 0 {
 			t.Errorf("backlog after drain = %d", got)
 		}
@@ -506,13 +506,13 @@ func TestEventQueueOrderProperty(t *testing.T) {
 
 // TestDrainedEngineHoldsNoEvents is the regression test for the event
 // closure retention leak: after the queue drains, every slot of the
-// backing array must be zeroed so executed closures are collectable.
+// backing array must be zeroed so executed handlers are collectable.
 func TestDrainedEngineHoldsNoEvents(t *testing.T) {
 	e := NewEngine()
 	var ran int
 	for i := 0; i < 1000; i++ {
 		d := Time(i % 37)
-		e.At(d, func() { ran++ })
+		atFn(e, d, func() { ran++ })
 	}
 	e.RunUntilQuiet()
 	if ran != 1000 {
@@ -523,8 +523,8 @@ func TestDrainedEngineHoldsNoEvents(t *testing.T) {
 	}
 	backing := e.events.a[:cap(e.events.a)]
 	for i, ev := range backing {
-		if ev.fn != nil {
-			t.Fatalf("drained queue retains closure at slot %d of %d", i, len(backing))
+		if ev.h != nil {
+			t.Fatalf("drained queue retains handler at slot %d of %d", i, len(backing))
 		}
 	}
 }

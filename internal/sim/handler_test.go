@@ -20,7 +20,7 @@ func TestEnqueueHandlerPassesReservationBounds(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "bus")
 	h := &recordingHandler{}
-	e.At(0, func() {
+	atFn(e, 0, func() {
 		r.EnqueueHandler(50, h) // idle: starts now
 		r.EnqueueHandler(30, h) // queued behind the first
 	})
@@ -36,40 +36,9 @@ func TestEnqueueHandlerPassesReservationBounds(t *testing.T) {
 	}
 }
 
-// orderHandler appends its tag to a shared log when dispatched.
-type orderHandler struct {
-	log *[]string
-	tag string
-}
-
-func (h *orderHandler) Run(_, _ Time) { *h.log = append(*h.log, h.tag) }
-
-// Handler and closure events scheduled at the same timestamp must fire
-// in scheduling order: both forms share the engine's seq counter, which
-// is what keeps the pooled pipeline's event stream bit-identical to the
-// closure pipeline it replaced.
-func TestHandlerAndClosureShareTieBreakOrder(t *testing.T) {
-	e := NewEngine()
-	var log []string
-	e.At(10, func() { log = append(log, "fn-1") })
-	e.AtHandler(10, 0, &orderHandler{log: &log, tag: "h-1"})
-	e.At(10, func() { log = append(log, "fn-2") })
-	e.AtHandler(10, 0, &orderHandler{log: &log, tag: "h-2"})
-	e.RunUntilQuiet()
-	want := []string{"fn-1", "h-1", "fn-2", "h-2"}
-	if len(log) != len(want) {
-		t.Fatalf("log = %v, want %v", log, want)
-	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("log = %v, want %v", log, want)
-		}
-	}
-}
-
 func TestAtHandlerPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {
+	atFn(e, 100, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("AtHandler in the past did not panic")
@@ -86,7 +55,7 @@ func TestHandlerEventsCounted(t *testing.T) {
 	h := &recordingHandler{}
 	e.AtHandler(1, 0, h)
 	e.AtHandler(2, 0, h)
-	e.At(3, func() {})
+	atFn(e, 3, func() {})
 	e.RunUntilQuiet()
 	if got := e.Events(); got != 3 {
 		t.Fatalf("Events() = %d, want 3", got)
@@ -133,13 +102,13 @@ func TestGateUncontendedAcquireNotCounted(t *testing.T) {
 func TestResourceMaxQueuedTracksWorstBacklog(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "bus")
-	e.At(0, func() {
-		r.Enqueue(100, nil) // starts at 0, backlog 0
-		r.Enqueue(100, nil) // backlog 100
-		r.Enqueue(100, nil) // backlog 200
+	atFn(e, 0, func() {
+		r.Reserve(100) // starts at 0, backlog 0
+		r.Reserve(100) // backlog 100
+		r.Reserve(100) // backlog 200
 	})
-	e.At(250, func() {
-		r.Enqueue(100, nil) // backlog 50: must not lower the max
+	atFn(e, 250, func() {
+		r.Reserve(100) // backlog 50: must not lower the max
 	})
 	e.RunUntilQuiet()
 	if r.MaxQueued != 200 {
@@ -158,7 +127,7 @@ func TestEnqueueHandlerUpdatesStats(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "bus")
 	h := &recordingHandler{}
-	e.At(0, func() {
+	atFn(e, 0, func() {
 		r.EnqueueHandler(100, h)
 		r.EnqueueHandler(100, h)
 	})

@@ -4,7 +4,8 @@ package sim
 // Send may be called from any context; Recv must be called from process
 // context and blocks until a message is available.
 type Mailbox[T any] struct {
-	items []T
+	items []T // queued items are items[head:]
+	head  int
 	q     WaitQ
 }
 
@@ -16,33 +17,32 @@ func (m *Mailbox[T]) Send(v T) {
 
 // Recv dequeues the oldest item, blocking p until one is available.
 func (m *Mailbox[T]) Recv(p *Proc) T {
-	for len(m.items) == 0 {
+	for m.head == len(m.items) {
 		m.q.Wait(p)
 	}
 	return m.pop()
 }
 
-// TryRecv dequeues the oldest item without blocking.
-func (m *Mailbox[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(m.items) == 0 {
-		return zero, false
-	}
-	return m.pop(), true
-}
-
-// pop removes the head, compacting in place so the backing array is
-// reused instead of re-sliced away (a steady send/recv cycle then
-// allocates nothing).
+// pop removes the head in O(1); the backing array is rewound once the
+// queue drains, so a steady send/recv cycle allocates nothing and a
+// deep queue (a barrier master's arrivals) costs no compaction copies.
 func (m *Mailbox[T]) pop() T {
-	n := len(m.items)
-	v := m.items[0]
+	v := m.items[m.head]
 	var zero T
-	copy(m.items, m.items[1:])
-	m.items[n-1] = zero // release references held by the vacated slot
-	m.items = m.items[:n-1]
+	m.items[m.head] = zero // release references held by the vacated slot
+	m.head++
+	if m.head == len(m.items) {
+		m.items, m.head = m.items[:0], 0
+	}
 	return v
 }
 
 // Len returns the number of queued items.
-func (m *Mailbox[T]) Len() int { return len(m.items) }
+func (m *Mailbox[T]) Len() int { return len(m.items) - m.head }
+
+// Queued returns the queued items, oldest first. The slice aliases the
+// mailbox's storage: read it before the next Send or Recv.
+func (m *Mailbox[T]) Queued() []T { return m.items[m.head:] }
+
+// Waiting returns the number of receivers parked in Recv.
+func (m *Mailbox[T]) Waiting() int { return m.q.Len() }

@@ -415,13 +415,13 @@ func (cl *Cluster) horizons() (hShard, hFab Time) {
 // backlog is pending, done when neither events nor backlog remain. It
 // must be called exactly once, after setup.
 func (cl *Cluster) Run() {
+	defer cl.shutdown()
 	cl.exec = true
 	for _, e := range cl.all[:len(cl.all)-1] {
 		cl.syncPeek(e)
 	}
 	for {
 		if cl.stop {
-			cl.shutdown()
 			return
 		}
 		cl.watchdogCheck()
@@ -431,7 +431,6 @@ func (cl *Cluster) Run() {
 			nonEmpty++
 		}
 		if nonEmpty == 0 && cl.pending == 0 {
-			cl.shutdown()
 			return
 		}
 		if nonEmpty == 1 && cl.pending == 0 {
@@ -494,10 +493,10 @@ func (cl *Cluster) watchdogCheck() {
 	}
 }
 
-// watchdogTrip shuts the worker pool down and panics with a per-LP
-// dump: clocks, heap peeks, uncommitted log shapes, and held outbox
-// messages — everything needed to see which LP (and which held parent)
-// is pinning the horizon.
+// watchdogTrip panics with a per-LP dump — clocks, heap peeks,
+// uncommitted log shapes, and held outbox messages, everything needed
+// to see which LP (and which held parent) is pinning the horizon. Run's
+// deferred shutdown then releases the worker pool.
 func (cl *Cluster) watchdogTrip() {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sim: watchdog: no progress in %d rounds (nextOrd=%d pending=%d heldMin=%d)\n",
@@ -527,17 +526,20 @@ func (cl *Cluster) watchdogTrip() {
 		}
 		b.WriteByte('\n')
 	}
-	cl.shutdown()
 	panic(b.String())
 }
 
-// shutdown releases the worker pool.
+// shutdown ends a run, however it ended: it releases the worker pool
+// and every LP's unfinished processes.
 func (cl *Cluster) shutdown() {
 	cl.exec = false
 	for _, ch := range cl.workerCh {
 		close(ch)
 	}
 	cl.workerCh = nil
+	for _, e := range cl.all {
+		e.releaseProcs()
+	}
 }
 
 // runRound executes every active LP's events below its window horizon,
@@ -567,12 +569,11 @@ func (cl *Cluster) runRound() {
 	cl.wg.Wait()
 	if cl.panicVal != nil {
 		// Surface a worker's panic from Run with the LP identified;
-		// the pool is shut down first so the goroutines don't leak.
+		// Run's deferred shutdown releases the pool and the processes.
 		name := fmt.Sprintf("shard LP %d", cl.panicLP)
 		if cl.panicLP == len(cl.all)-1 {
 			name = "fabric LP"
 		}
-		cl.shutdown()
 		panic(fmt.Sprintf("sim: %s panicked during a parallel round: %v\n%s", name, cl.panicVal, cl.panicStack))
 	}
 }

@@ -1,17 +1,9 @@
 package sim
 
-// Waiter is anything that can park in a WaitQ and be resumed later:
-// goroutine-backed Procs and resumable Handler state machines alike.
-// Unpark schedules the waiter to run at the current virtual time; for a
-// Proc that resumes the goroutine, for a machine it re-enters Run.
-type Waiter interface {
-	Unpark()
-}
-
-// WaitQ is a FIFO queue of blocked waiters, the simulation analogue of a
-// condition variable. Wait must be called from process context (Enqueue
-// is the machine-context form); WakeOne and WakeAll may be called from
-// any context (they schedule the resumption as a zero-delay event).
+// WaitQ is a FIFO queue of blocked processes, the simulation analogue
+// of a condition variable. Wait must be called from process context;
+// WakeOne and WakeAll may be called from any context (they schedule the
+// resumption as a zero-delay event).
 // The oldest waiter lives in the inline slot w0 (the common case is a
 // single waiter, and there are many thousands of WaitQ instances —
 // per page, per lock, per pooled record — so the inline slot avoids
@@ -22,10 +14,10 @@ type Waiter interface {
 // Invariant: w0 is nil only when the queue is empty, and waiters is
 // non-empty only when n == len(wn).
 type WaitQ struct {
-	w0      Waiter
+	w0      *Proc
 	n       int8 // occupied slots of wn
-	wn      [3]Waiter
-	waiters []Waiter
+	wn      [3]*Proc
+	waiters []*Proc
 }
 
 // Len returns the number of waiters currently blocked on the queue.
@@ -42,14 +34,7 @@ func (q *WaitQ) Wait(p *Proc) {
 	p.Park()
 }
 
-// Enqueue adds a non-goroutine waiter (a Handler state machine) to the
-// queue; the machine must return to the engine loop after calling it
-// and resume from its Unpark.
-func (q *WaitQ) Enqueue(w Waiter) {
-	q.enq(w)
-}
-
-func (q *WaitQ) enq(w Waiter) {
+func (q *WaitQ) enq(w *Proc) {
 	if q.w0 == nil {
 		q.w0 = w
 		return
@@ -62,7 +47,7 @@ func (q *WaitQ) enq(w Waiter) {
 	if q.waiters == nil {
 		// First heap overflow: start at a capacity that never regrows
 		// 1->2->4->8 on hot queues.
-		q.waiters = make([]Waiter, 0, 8)
+		q.waiters = make([]*Proc, 0, 8)
 	}
 	q.waiters = append(q.waiters, w)
 }

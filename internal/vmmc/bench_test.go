@@ -11,27 +11,32 @@ package vmmc
 import (
 	"testing"
 
+	"genima/internal/nic"
 	"genima/internal/sim"
 )
+
+// countDel is an allocation-free Deliverer counting deliveries.
+type countDel struct{ n int }
+
+func (d *countDel) Deliver(*nic.Packet) { d.n++ }
 
 // BenchmarkDeposit measures the full seven-stage remote-deposit pipeline
 // for a small (64-byte) message: post, source DMA, firmware, fabric,
 // destination firmware, destination DMA, delivery callback.
 func BenchmarkDeposit(b *testing.B) {
 	eng, l, _ := newLayer(4)
-	delivered := 0
-	onDeliver := func() { delivered++ }
+	d := &countDel{}
 	eng.Go("sender", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			l.Endpoint(0).Deposit(p, 1, 64, "bench", nil, onDeliver)
+			l.Endpoint(0).DepositTo(p, 1, 64, "bench", nil, d)
 		}
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.RunUntilQuiet()
 	b.StopTimer()
-	if delivered != b.N {
-		b.Fatalf("delivered %d of %d deposits", delivered, b.N)
+	if d.n != b.N {
+		b.Fatalf("delivered %d of %d deposits", d.n, b.N)
 	}
 }
 
@@ -39,19 +44,18 @@ func BenchmarkDeposit(b *testing.B) {
 // into four wire packets, exercising the packet-splitting arithmetic.
 func BenchmarkDepositLarge(b *testing.B) {
 	eng, l, _ := newLayer(4)
-	delivered := 0
-	onDeliver := func() { delivered++ }
+	d := &countDel{}
 	eng.Go("sender", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			l.Endpoint(0).Deposit(p, 1, 16384, "bench-large", nil, onDeliver)
+			l.Endpoint(0).DepositTo(p, 1, 16384, "bench-large", nil, d)
 		}
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.RunUntilQuiet()
 	b.StopTimer()
-	if delivered != b.N {
-		b.Fatalf("delivered %d of %d deposits", delivered, b.N)
+	if d.n != b.N {
+		b.Fatalf("delivered %d of %d deposits", d.n, b.N)
 	}
 }
 
@@ -83,19 +87,18 @@ func BenchmarkRemoteFetch(b *testing.B) {
 // one delivery per destination.
 func BenchmarkBroadcast(b *testing.B) {
 	eng, l, _ := newLayer(8)
-	delivered := 0
-	onDeliver := func(int) { delivered++ }
+	d := &countDel{}
 	eng.Go("sender", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			l.Endpoint(0).DepositBroadcast(p, 128, "bench-bcast", onDeliver)
+			l.Endpoint(0).DepositBroadcastTo(p, 128, "bench-bcast", nil, d)
 		}
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.RunUntilQuiet()
 	b.StopTimer()
-	if delivered != 7*b.N {
-		b.Fatalf("delivered %d of %d broadcast copies", delivered, 7*b.N)
+	if d.n != 7*b.N {
+		b.Fatalf("delivered %d of %d broadcast copies", d.n, 7*b.N)
 	}
 }
 

@@ -8,13 +8,12 @@ import (
 
 func TestDepositBroadcastReachesEveryNode(t *testing.T) {
 	eng, l, _ := newLayer(6)
-	var got []int
+	d := &recDel{eng: eng}
 	eng.Go("s", func(p *sim.Proc) {
-		l.Endpoint(2).DepositBroadcast(p, 64, "notice", func(dst int) {
-			got = append(got, dst)
-		})
+		l.Endpoint(2).DepositBroadcastTo(p, 64, "notice", nil, d)
 	})
 	eng.RunUntilQuiet()
+	got := d.dsts
 	if len(got) != 5 {
 		t.Fatalf("delivered to %d nodes, want 5 (%v)", len(got), got)
 	}
@@ -36,13 +35,14 @@ func TestDepositBroadcastCheaperForSender(t *testing.T) {
 	cost := func(nodes int, broadcast bool) sim.Time {
 		eng, l, _ := newLayer(nodes)
 		var dt sim.Time
+		del := &recDel{eng: eng}
 		eng.Go("s", func(p *sim.Proc) {
 			t0 := p.Now()
 			if broadcast {
-				l.Endpoint(0).DepositBroadcast(p, 64, "n", nil)
+				l.Endpoint(0).DepositBroadcastTo(p, 64, "n", nil, del)
 			} else {
 				for d := 1; d < nodes; d++ {
-					l.Endpoint(0).Deposit(p, d, 64, "n", nil, nil)
+					l.Endpoint(0).DepositTo(p, d, 64, "n", nil, del)
 				}
 			}
 			dt = p.Now() - t0
@@ -57,12 +57,12 @@ func TestDepositBroadcastCheaperForSender(t *testing.T) {
 
 func TestDepositGatheredHandledInFirmware(t *testing.T) {
 	eng, l, _ := newLayer(2)
-	applied := false
+	sg := &recSG{eng: eng}
 	eng.Go("s", func(p *sim.Proc) {
-		l.Endpoint(0).DepositGathered(p, 1, 600, "sg", func() { applied = true })
+		l.Endpoint(0).DepositGatheredTo(p, 1, 600, "sg", sg)
 	})
 	eng.RunUntilQuiet()
-	if !applied {
+	if sg.n == 0 {
 		t.Fatal("gathered deposit never applied")
 	}
 	if l.Endpoint(1).Interrupts != 0 {
@@ -72,13 +72,13 @@ func TestDepositGatheredHandledInFirmware(t *testing.T) {
 
 func TestDepositGatheredMultiPacket(t *testing.T) {
 	eng, l, _ := newLayer(2)
-	applied := 0
+	sg := &recSG{eng: eng}
 	eng.Go("s", func(p *sim.Proc) {
-		l.Endpoint(0).DepositGathered(p, 1, 10000, "sg", func() { applied++ })
+		l.Endpoint(0).DepositGatheredTo(p, 1, 10000, "sg", sg)
 	})
 	eng.RunUntilQuiet()
-	if applied != 1 {
-		t.Fatalf("apply ran %d times, want exactly once", applied)
+	if sg.n != 1 {
+		t.Fatalf("apply ran %d times, want exactly once", sg.n)
 	}
 	if got := l.Monitor().TotalPackets(); got != 3 {
 		t.Errorf("packets = %d, want 3 (10000 B / 4 KB)", got)
@@ -91,16 +91,19 @@ func TestDepositGatheredSlowerPerByteThanPlain(t *testing.T) {
 	// same size (its win is in message count, not latency).
 	timeOf := func(gathered bool) sim.Time {
 		eng, l, _ := newLayer(2)
-		var done sim.Time
+		sg, d := &recSG{eng: eng}, &recDel{eng: eng}
 		eng.Go("s", func(p *sim.Proc) {
 			if gathered {
-				l.Endpoint(0).DepositGathered(p, 1, 4096, "x", func() { done = eng.Now() })
+				l.Endpoint(0).DepositGatheredTo(p, 1, 4096, "x", sg)
 			} else {
-				l.Endpoint(0).Deposit(p, 1, 4096, "x", nil, func() { done = eng.Now() })
+				l.Endpoint(0).DepositTo(p, 1, 4096, "x", nil, d)
 			}
 		})
 		eng.RunUntilQuiet()
-		return done
+		if gathered {
+			return sg.at
+		}
+		return d.at
 	}
 	if g, pl := timeOf(true), timeOf(false); g <= pl {
 		t.Errorf("gathered latency %d not above plain %d (SG must cost NI occupancy)", g, pl)

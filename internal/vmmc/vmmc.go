@@ -68,13 +68,6 @@ type Msg struct {
 	Payload any
 }
 
-// MsgSink is the typed interrupt receiver: a persistent per-node object
-// (the protocol machine) that replaces a per-node closure. It runs in
-// engine context after the interrupt dispatch delay.
-type MsgSink interface {
-	HandleMsg(m Msg)
-}
-
 // FetchReq is what a remote-fetch firmware handler receives.
 type FetchReq struct {
 	Src  int // requesting node
@@ -135,23 +128,8 @@ func New(eng *sim.Engine, cfg *topo.Config) *Layer {
 // Endpoint returns node n's endpoint.
 func (l *Layer) Endpoint(n int) *Endpoint { return l.eps[n] }
 
-// NI exposes the endpoint's network interface for machine-context
-// senders that drive the post pipeline step by step (sim.Handler state
-// machines cannot block in Post, so they claim the post-queue slot and
-// call LaunchPosted themselves).
+// NI exposes the endpoint's network interface (collective trees).
 func (ep *Endpoint) NI() *nic.NI { return ep.ni }
-
-// InterruptDeliverer returns the shared deliverer interrupt-class
-// packets carry (with Meta = MsgKind), so machine-built packets follow
-// the exact delivery path of SendInterrupt.
-func (ep *Endpoint) InterruptDeliverer() nic.Deliverer { return &ep.layer.intrDel }
-
-// BroadcastDsts returns the cached everyone-but-self destination set
-// used by broadcast posts.
-func (ep *Endpoint) BroadcastDsts() []int {
-	ep.buildBcastDsts()
-	return ep.bcastDsts
-}
 
 // Monitor returns the NI firmware performance monitor.
 func (l *Layer) Monitor() *nic.Monitor { return l.sys.Monitor }
@@ -171,12 +149,8 @@ type Endpoint struct {
 	eng *sim.Engine
 
 	// Sink receives interrupt-class messages after the interrupt
-	// dispatch delay. Runs in engine context. Takes precedence over
-	// InterruptSink when both are set.
-	Sink MsgSink
-	// InterruptSink is the closure form of Sink (tests, ad-hoc
-	// receivers).
-	InterruptSink func(Msg)
+	// dispatch delay; the host's protocol process serves it.
+	Sink *sim.Mailbox[Msg]
 	// Perturb, if set, is invoked once per interrupt so the caller can
 	// charge scheduling perturbation to a compute processor.
 	Perturb func()
@@ -216,31 +190,11 @@ func splitStep(rem, max int) (sz int, last bool) {
 	return max, false
 }
 
-// Deposit asynchronously sends size bytes to node dst, depositing them
-// directly into destination memory. onDeliver (optional) runs in engine
-// context when the last byte lands. The caller is charged only the post
-// overhead (plus any post-queue stall).
-func (ep *Endpoint) Deposit(p *sim.Proc, dst, size int, kind string, payload any, onDeliver func()) {
-	max := ep.layer.cfg.MaxPacket
-	for rem := size; ; {
-		sz, last := splitStep(rem, max)
-		pkt := ep.ni.NewPacket()
-		pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ep.Node, dst, sz, kind
-		if last {
-			pkt.Payload = payload
-			pkt.OnDeliver = onDeliver
-		}
-		ep.ni.Post(p, pkt)
-		if last {
-			break
-		}
-		rem -= sz
-	}
-}
-
-// DepositTo is Deposit with a typed deliverer instead of a closure: to
-// (a shared dispatcher) is invoked with the final packet, whose Payload
-// carries the protocol record, when the last byte lands.
+// DepositTo asynchronously sends size bytes to node dst, depositing them
+// directly into destination memory. to (a shared dispatcher) is invoked
+// in engine context with the final packet, whose Payload carries the
+// protocol record, when the last byte lands. The caller is charged only
+// the post overhead (plus any post-queue stall).
 func (ep *Endpoint) DepositTo(p *sim.Proc, dst, size int, label string, payload any, to nic.Deliverer) {
 	max := ep.layer.cfg.MaxPacket
 	for rem := size; ; {
@@ -259,22 +213,11 @@ func (ep *Endpoint) DepositTo(p *sim.Proc, dst, size int, label string, payload 
 	}
 }
 
-// DepositBroadcast sends one message that the fabric replicates to all
+// DepositBroadcastTo sends one message that the fabric replicates to all
 // other nodes (requires cfg.NIBroadcast hardware): one host post, one
-// source DMA, N deliveries. onDeliver runs once per destination.
-func (ep *Endpoint) DepositBroadcast(p *sim.Proc, size int, kind string, onDeliver func(dst int)) {
-	if size > ep.layer.cfg.MaxPacket {
-		panic("vmmc: broadcast larger than one packet")
-	}
-	ep.buildBcastDsts()
-	tmpl := ep.ni.NewPacket()
-	tmpl.Src, tmpl.Dst, tmpl.Size, tmpl.Kind = ep.Node, -1, size, kind
-	ep.ni.PostBroadcast(p, tmpl, ep.bcastDsts, onDeliver)
-}
-
-// DepositBroadcastTo is DepositBroadcast with a typed deliverer: every
-// per-destination copy carries payload and invokes to at its delivery
-// (the deliverer reads the copy's Dst to identify the destination).
+// source DMA, N deliveries. Every per-destination copy carries payload
+// and invokes to at its delivery (the deliverer reads the copy's Dst to
+// identify the destination).
 func (ep *Endpoint) DepositBroadcastTo(p *sim.Proc, size int, label string, payload any, to nic.Deliverer) {
 	if size > ep.layer.cfg.MaxPacket {
 		panic("vmmc: broadcast larger than one packet")
@@ -301,43 +244,17 @@ func (ep *Endpoint) buildBcastDsts() {
 	}
 }
 
-// DepositGathered sends size bytes of scattered data as ONE message
-// that the destination NI scatters into memory itself (the
-// scatter-gather extension, paper §3.3): extra firmware occupancy on
-// both NIs, no host involvement at the destination. apply runs in the
-// destination NI's firmware context.
-func (ep *Endpoint) DepositGathered(p *sim.Proc, dst, size int, kind string, apply func()) {
-	c := &ep.layer.cfg.Costs
-	max := ep.layer.cfg.MaxPacket
-	for rem := size; ; {
-		sz, last := splitStep(rem, max)
-		pkt := ep.ni.NewPacket()
-		pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ep.Node, dst, sz, kind
-		pkt.FwSendExtra = sim.Time(float64(sz) * c.NISGPerByte)
-		pkt.FwService = sim.Time(float64(sz) * c.NISGPerByte)
-		pkt.FwHandler = SGApplyHandler
-		if last && apply != nil {
-			// The scatter-gather payload slot carries the apply hook so
-			// one shared handler serves every sg packet (no per-packet
-			// closure); sg messages have no protocol payload of their own.
-			pkt.Payload = apply
-		}
-		ep.ni.Post(p, pkt)
-		if last {
-			break
-		}
-		rem -= sz
-	}
-}
-
-// SGApplier is the typed scatter-gather apply hook: a pooled record
-// implementing it replaces the per-flush closure of DepositGathered.
+// SGApplier is the scatter-gather apply hook: a pooled record whose
+// ApplySG runs in the destination NI's firmware when the last fragment
+// lands.
 type SGApplier interface {
 	ApplySG()
 }
 
-// DepositGatheredTo is DepositGathered with a typed apply record
-// instead of a closure.
+// DepositGatheredTo sends size bytes of scattered data as ONE message
+// that the destination NI scatters into memory itself (the
+// scatter-gather extension, paper §3.3): extra firmware occupancy on
+// both NIs, no host involvement at the destination.
 func (ep *Endpoint) DepositGatheredTo(p *sim.Proc, dst, size int, kind string, apply SGApplier) {
 	c := &ep.layer.cfg.Costs
 	max := ep.layer.cfg.MaxPacket
@@ -347,7 +264,7 @@ func (ep *Endpoint) DepositGatheredTo(p *sim.Proc, dst, size int, kind string, a
 		pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ep.Node, dst, sz, kind
 		pkt.FwSendExtra = sim.Time(float64(sz) * c.NISGPerByte)
 		pkt.FwService = sim.Time(float64(sz) * c.NISGPerByte)
-		pkt.FwHandler = SGApplyHandler
+		pkt.FwHandler = sgApplyFw
 		if last {
 			pkt.Payload = apply
 		}
@@ -359,56 +276,19 @@ func (ep *Endpoint) DepositGatheredTo(p *sim.Proc, dst, size int, kind string, a
 	}
 }
 
-// SGApplyHandler is the shared firmware handler for scatter-gather
-// deposits: it scatters the fragment in NI firmware (the service time is
-// on the packet) and runs the apply hook carried by the final fragment.
-// Exported so machine-context senders can stamp it on the packets they
-// build themselves.
-func SGApplyHandler(_ *nic.NI, pkt *nic.Packet) {
-	switch f := pkt.Payload.(type) {
-	case func():
-		f()
-	case SGApplier:
+// sgApplyFw is the shared firmware handler for scatter-gather deposits:
+// it scatters the fragment in NI firmware (the service time is on the
+// packet) and runs the apply hook carried by the final fragment.
+func sgApplyFw(_ *nic.NI, pkt *nic.Packet) {
+	if f, ok := pkt.Payload.(SGApplier); ok {
 		f.ApplySG()
 	}
 }
 
-// DepositFromEvent is Deposit from engine context (protocol handlers).
-func (ep *Endpoint) DepositFromEvent(dst, size int, kind string, payload any, onDeliver func()) {
-	max := ep.layer.cfg.MaxPacket
-	for rem := size; ; {
-		sz, last := splitStep(rem, max)
-		pkt := ep.ni.NewPacket()
-		pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = ep.Node, dst, sz, kind
-		if last {
-			pkt.Payload = payload
-			pkt.OnDeliver = onDeliver
-		}
-		ep.ni.PostFromEvent(pkt)
-		if last {
-			break
-		}
-		rem -= sz
-	}
-}
-
 // SendInterrupt sends a message that interrupts a destination host
-// processor and is handed to the destination's InterruptSink after the
-// interrupt dispatch cost (the Base protocol's delivery mode).
+// processor and is handed to the destination's Sink after the interrupt
+// dispatch cost (the Base protocol's delivery mode).
 func (ep *Endpoint) SendInterrupt(p *sim.Proc, dst, size int, kind MsgKind, payload any) {
-	ep.sendInterruptPkts(dst, size, kind, payload, func(pkt *nic.Packet) {
-		ep.ni.Post(p, pkt)
-	})
-}
-
-// SendInterruptFromEvent is SendInterrupt from engine context.
-func (ep *Endpoint) SendInterruptFromEvent(dst, size int, kind MsgKind, payload any) {
-	ep.sendInterruptPkts(dst, size, kind, payload, func(pkt *nic.Packet) {
-		ep.ni.PostFromEvent(pkt)
-	})
-}
-
-func (ep *Endpoint) sendInterruptPkts(dst, size int, kind MsgKind, payload any, post func(*nic.Packet)) {
 	max := ep.layer.cfg.MaxPacket
 	for rem := size; ; {
 		sz, last := splitStep(rem, max)
@@ -419,7 +299,7 @@ func (ep *Endpoint) sendInterruptPkts(dst, size int, kind MsgKind, payload any, 
 			pkt.Meta = int(kind)
 			pkt.DeliverTo = &ep.layer.intrDel
 		}
-		post(pkt)
+		ep.ni.Post(p, pkt)
 		if last {
 			break
 		}
@@ -430,23 +310,18 @@ func (ep *Endpoint) sendInterruptPkts(dst, size int, kind MsgKind, payload any, 
 // intrEvent is a pooled scheduled interrupt dispatch: the Msg rides in
 // the event queue slot itself (via Handler) instead of a closure.
 type intrEvent struct {
-	ep     *Endpoint
-	sink   MsgSink
-	sinkFn func(Msg)
-	m      Msg
+	ep   *Endpoint
+	sink *sim.Mailbox[Msg]
+	m    Msg
 }
 
 // Run implements sim.Handler: hand the message to the sink recorded at
 // interrupt time and recycle the event record.
 func (ev *intrEvent) Run(_, _ sim.Time) {
-	ep, sink, sinkFn, m := ev.ep, ev.sink, ev.sinkFn, ev.m
+	ep, sink, m := ev.ep, ev.sink, ev.m
 	*ev = intrEvent{}
 	ep.intrFree = append(ep.intrFree, ev)
-	if sink != nil {
-		sink.HandleMsg(m)
-		return
-	}
-	sinkFn(m)
+	sink.Send(m)
 }
 
 func (ep *Endpoint) interrupt(m Msg) {
@@ -454,8 +329,8 @@ func (ep *Endpoint) interrupt(m Msg) {
 	if ep.Perturb != nil {
 		ep.Perturb()
 	}
-	sink, sinkFn := ep.Sink, ep.InterruptSink
-	if sink == nil && sinkFn == nil {
+	sink := ep.Sink
+	if sink == nil {
 		panic(fmt.Sprintf("vmmc: interrupt-class message %q at node %d with no sink", m.Kind, ep.Node))
 	}
 	var ev *intrEvent
@@ -466,7 +341,7 @@ func (ep *Endpoint) interrupt(m Msg) {
 	} else {
 		ev = &intrEvent{}
 	}
-	ev.ep, ev.sink, ev.sinkFn, ev.m = ep, sink, sinkFn, m
+	ev.ep, ev.sink, ev.m = ep, sink, m
 	eng := ep.eng
 	now := eng.Now()
 	eng.AtHandler(now+ep.layer.cfg.Costs.Interrupt, now, ev)

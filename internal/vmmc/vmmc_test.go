@@ -5,9 +5,36 @@ import (
 	"testing"
 	"testing/quick"
 
+	"genima/internal/nic"
 	"genima/internal/sim"
 	"genima/internal/topo"
 )
+
+// recDel is a test Deliverer recording every delivered packet's
+// destination, payload, and delivery time.
+type recDel struct {
+	eng     *sim.Engine
+	n       int
+	dsts    []int
+	payload any
+	at      sim.Time
+}
+
+func (d *recDel) Deliver(pkt *nic.Packet) {
+	d.n++
+	d.dsts = append(d.dsts, pkt.Dst)
+	d.payload, d.at = pkt.Payload, d.eng.Now()
+}
+
+// recSG is a test SGApplier counting applications and the time of the
+// last.
+type recSG struct {
+	eng *sim.Engine
+	n   int
+	at  sim.Time
+}
+
+func (a *recSG) ApplySG() { a.n++; a.at = a.eng.Now() }
 
 func newLayer(nodes int) (*sim.Engine, *Layer, topo.Config) {
 	eng := sim.NewEngine()
@@ -18,25 +45,25 @@ func newLayer(nodes int) (*sim.Engine, *Layer, topo.Config) {
 
 func TestDepositDelivers(t *testing.T) {
 	eng, l, _ := newLayer(4)
-	var got any
+	d := &recDel{eng: eng}
 	eng.Go("s", func(p *sim.Proc) {
-		l.Endpoint(0).Deposit(p, 2, 64, "notice", "hello", func() { got = "hello" })
+		l.Endpoint(0).DepositTo(p, 2, 64, "notice", "hello", d)
 	})
 	eng.RunUntilQuiet()
-	if got != "hello" {
-		t.Fatal("deposit not delivered")
+	if d.n != 1 || d.payload != "hello" || d.dsts[0] != 2 {
+		t.Fatalf("deposit not delivered: %d deliveries, payload %v", d.n, d.payload)
 	}
 }
 
 func TestDepositSplitsLargeMessages(t *testing.T) {
 	eng, l, _ := newLayer(2)
-	delivered := false
+	d := &recDel{eng: eng}
 	eng.Go("s", func(p *sim.Proc) {
-		l.Endpoint(0).Deposit(p, 1, 10000, "big", nil, func() { delivered = true })
+		l.Endpoint(0).DepositTo(p, 1, 10000, "big", nil, d)
 	})
 	eng.RunUntilQuiet()
-	if !delivered {
-		t.Fatal("large deposit not delivered")
+	if d.n != 1 {
+		t.Fatalf("large deposit delivered %d times, want once (on the last packet)", d.n)
 	}
 	// 10000 bytes over 4096-byte packets = 3 packets, all large except the tail.
 	if got := l.Monitor().TotalPackets(); got != 3 {
@@ -49,7 +76,9 @@ func TestInterruptDelivery(t *testing.T) {
 	var sunk Msg
 	var sunkAt, deliveredAt sim.Time
 	perturbs := 0
-	l.Endpoint(1).InterruptSink = func(m Msg) { sunk = m; sunkAt = eng.Now() }
+	var mb sim.Mailbox[Msg]
+	l.Endpoint(1).Sink = &mb
+	sim.Serve(eng, "sink", &mb, func(p *sim.Proc, m Msg) { sunk = m; sunkAt = p.Now() })
 	l.Endpoint(1).Perturb = func() { perturbs++; deliveredAt = eng.Now() }
 	eng.Go("s", func(p *sim.Proc) {
 		l.Endpoint(0).SendInterrupt(p, 1, 32, MsgPageReq, 42)
