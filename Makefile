@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-intrarun smoke-faults smoke-scale smoke-soak smoke-serve bench-smoke bench-json bench-mem bench-guard
+.PHONY: check build vet test race race-intrarun fuzz smoke-faults smoke-scale smoke-soak smoke-serve bench-smoke bench-json bench-mem bench-guard
 
-check: build vet test race race-intrarun smoke-faults smoke-scale smoke-soak smoke-serve
+check: build vet test race race-intrarun fuzz smoke-faults smoke-scale smoke-soak smoke-serve
 
 build:
 	$(GO) build ./...
@@ -17,8 +17,12 @@ vet:
 test:
 	$(GO) test ./...
 
+# race runs every test, none skipped, under the race detector. The
+# 512-node leg of TestIntraRunScaleTraceByteIdentical alone takes about
+# 10 minutes under -race on a 2-CPU box, past go test's default
+# 10-minute per-package timeout, so the target sets its own.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 40m ./...
 
 # race-intrarun runs the intra-run parallel-simulation determinism
 # tests (byte-identical traces across -jrun and -lpshards combinations,
@@ -27,6 +31,11 @@ race:
 # sharded matrix still runs, so sharded clusters are race-checked.
 race-intrarun:
 	$(GO) test -race -short -run 'TestIntraRun' -count=1 .
+
+# fuzz runs the native fuzz targets briefly past their seed corpora
+# (testdata/fuzz); plain `go test` already replays the corpora.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDiffApplyRoundTrip$$' -fuzztime 10s ./internal/memory
 
 # smoke-faults exercises the fault-injection + NI reliable-delivery
 # recovery path end to end: one short app at a 1% drop rate (with dups,

@@ -125,3 +125,33 @@ func TestCollectivesSurviveFaults(t *testing.T) {
 		t.Error("fault plan injected no drops — plan not exercising the tree")
 	}
 }
+
+// TestSwitchUtilIsBusiestSingleSwitch: Util.Switch is the busiest single
+// switch's busy fraction, so it never exceeds 1, while a stage total in
+// SwitchStage sums every switch of the stage and may. The 256-node
+// radix-16 fat-tree tree barrier loads its stages past the elapsed
+// time, the case where a max over stage totals read above 100%.
+func TestSwitchUtilIsBusiestSingleSwitch(t *testing.T) {
+	e, ok := apps.ByName(apps.Test, "barrierbench")
+	if !ok {
+		t.Fatal("barrierbench not resolvable")
+	}
+	cfg := genima.DefaultConfig()
+	cfg.Nodes, cfg.ProcsPerNode = 256, 1
+	cfg.Topo, cfg.SwitchRadix = genima.TopoFatTree, 16
+	cfg.Collectives = true
+	res, _, err := genima.Run(cfg, genima.GeNIMA, e.App)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := res.Util.Switch; u <= 0 || u > 1 {
+		t.Errorf("Util.Switch = %.3f, want in (0, 1]", u)
+	}
+	var busiestStage float64
+	for _, b := range res.Util.SwitchStage {
+		busiestStage = max(busiestStage, float64(b)/float64(res.Elapsed))
+	}
+	if busiestStage <= 1 {
+		t.Errorf("busiest stage total %.3f of elapsed; the probe no longer loads a stage past 100%%", busiestStage)
+	}
+}

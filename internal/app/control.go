@@ -199,6 +199,7 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl *RunControl) (
 	}
 	res := collect(kind.String(), ctxs, finish)
 	res.Acct = sys.Accounting()
+	res.PoolMisses, res.PoolFree = sys.PoolUse()
 	res.Monitor = sys.Layer.Monitor()
 	if cl != nil {
 		res.Events = cl.Events()
@@ -222,8 +223,8 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl *RunControl) (
 			frac(nis.Fabric.Out[i].Stats().BusyTime), frac(nis.Fabric.In[i].Stats().BusyTime))
 		res.Util.MaxBacklog = maxT(res.Util.MaxBacklog, ni.Firmware.MaxQueued)
 	}
-	for _, busy := range nis.Fabric.StageBusy() {
-		res.Util.Switch = max(res.Util.Switch, frac(busy))
+	for _, sw := range nis.Fabric.Switches {
+		res.Util.Switch = max(res.Util.Switch, frac(sw.Stats().BusyTime))
 	}
 	res.Util.SwitchStage = nis.Fabric.StageBusy()
 	res.Faults = nis.FaultReport()

@@ -42,6 +42,10 @@ type Result struct {
 	// Latency merges the per-processor request-latency histograms of
 	// serving workloads (empty for batch apps).
 	Latency stats.LatencyRecorder
+	// PoolMisses and PoolFree are the protocol's pool footprint at run
+	// end (core.System.PoolUse): the largest per-node count of pool
+	// misses, and of records and page buffers parked on free lists.
+	PoolMisses, PoolFree uint64
 }
 
 // Utilization reports busy fractions of the communication substrate
@@ -51,8 +55,8 @@ type Utilization struct {
 	Firmware    float64    // NI processor (the paper's 33 MHz LANai)
 	PCI         float64    // host I/O bus
 	Link        float64    // busiest link direction
-	Switch      float64    // busiest fabric stage (the crossbar on xbar8)
-	SwitchStage []sim.Time // per-stage summed switch busy time (len = fabric stages)
+	Switch      float64    // busiest single switch (the crossbar on xbar8)
+	SwitchStage []sim.Time // per-stage busy time summed over the stage's switches (len = fabric stages)
 	MaxBacklog  sim.Time   // worst firmware-queue backlog observed
 }
 

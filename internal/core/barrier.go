@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"genima/internal/sim"
 	"genima/internal/vmmc"
@@ -24,15 +23,11 @@ import (
 // all flags arrive — no interrupts anywhere. Invalidations (and their
 // mprotect) are applied locally before leaving.
 
-// barArriveMsg is an arrival record: a DW flag deposit (one pooled
-// record fanned out to all peers, refcounted, freed at the last
-// delivery) or a Base arrival sent to the master (freed there after
-// aggregation). In a parallel run the fan-out deliveries may land on
-// different logical processes within one round, so refs is decremented
-// atomically and the last delivery returns the record to the pool of
-// the node it landed on (records are fungible across node pools).
+// barArriveMsg is an arrival record: a DW flag deposit (one record
+// fanned out to all peers) or a Base arrival sent to the master. It is
+// a slot of the sender's arrival ring (Node.arrival), so it is never
+// freed: consumers only read it.
 type barArriveMsg struct {
-	refs      int32
 	src       int
 	seq       int
 	vc        []uint64
@@ -47,13 +42,11 @@ func (m *barArriveMsg) wireSize() int {
 	return n
 }
 
-// barReleaseMsg is the master's release (Base): one pooled record
-// shared by all Nodes deliveries; each leader decrements refs (atomic:
-// leaders run on different logical processes) after applying it and the
-// last one frees it into its own node's pool. The interval union is
-// swapped out of the master's epoch state, not copied.
+// barReleaseMsg is the master's release (Base): one record shared by
+// all Nodes deliveries, taken from the master's two-slot release ring
+// (see handleBarArrive). The interval union is swapped out of the
+// master's epoch state, not copied.
 type barReleaseMsg struct {
-	refs      int32
 	seq       int
 	vc        []uint64
 	intervals []*interval
@@ -103,6 +96,23 @@ func (e *barEpoch) reset(seq int) {
 		e.mVC[i] = 0
 	}
 	e.mIvs = e.mIvs[:0]
+}
+
+// arrival returns this node's arrival record for barrier seq: slot
+// seq&1 of a two-slot ring. The node reuses the slot at barrier seq+2,
+// after passing barrier seq+1, and by then every consumer has read the
+// seq record: a DW flag is read at its deposit, and each peer deposits
+// its own seq+1 flag only after passing seq, which needed this node's
+// seq flag; a Base arrival is read by the master before it releases
+// seq, which precedes the release of seq+1.
+func (n *Node) arrival(seq int) *barArriveMsg {
+	m := &n.barArr[seq&1]
+	if m.vc == nil {
+		m.vc = make([]uint64, n.sys.Cfg.Nodes)
+	}
+	m.src, m.seq = n.ID, seq
+	m.intervals = m.intervals[:0]
+	return m
 }
 
 // barEpochAt returns the epoch record for barrier seq, claiming (and
@@ -155,15 +165,13 @@ func (n *Node) barrierDW(p *sim.Proc, seq int) sim.Time {
 	t0 := p.Now()
 	n.closeInterval(p) // diffs + eager notices
 	// Record own arrival locally, then deposit the flag everywhere: one
-	// pooled record fanned out to every peer, freed at last delivery.
+	// arrival record fanned out to every peer.
 	e := n.barEpochAt(seq)
 	vecMergeMax(e.vc, n.vc)
 	e.count.Add(1)
 	if n.sys.Cfg.Nodes > 1 {
-		m := n.getBarArr()
-		m.src, m.seq = n.ID, seq
+		m := n.arrival(seq)
 		copy(m.vc, n.vc)
-		m.refs = int32(n.sys.Cfg.Nodes - 1)
 		for dst := 0; dst < n.sys.Cfg.Nodes; dst++ {
 			if dst == n.ID {
 				continue
@@ -236,8 +244,7 @@ func (n *Node) barrierBase(p *sim.Proc, seq int) sim.Time {
 	prevSelf := n.lastBarSelfSeq
 	n.closeInterval(p)
 	n.lastBarSelfSeq = n.vc[n.ID]
-	arrive := n.getBarArr()
-	arrive.src, arrive.seq = n.ID, seq
+	arrive := n.arrival(seq)
 	copy(arrive.vc, n.vc)
 	arrive.intervals = n.appendIntervalsAfter(arrive.intervals, n.ID, prevSelf, n.vc[n.ID])
 	if n.ID == 0 {
@@ -260,9 +267,6 @@ func (n *Node) barrierBase(p *sim.Proc, seq int) sim.Time {
 		}
 	}
 	n.applyUpTo(p, rel.vc)
-	if atomic.AddInt32(&rel.refs, -1) == 0 {
-		n.putBarRel(rel)
-	}
 	return protoSoFar + (p.Now() - t2)
 }
 

@@ -262,23 +262,26 @@ type Node struct {
 	barEpochs      [4]barEpoch
 	lastBarSelfSeq uint64 // own intervals already exchanged at barriers
 
+	// The node's barrier arrival records and (master only) release
+	// records, two-slot rings indexed by seq&1 (see Node.arrival).
+	barArr [2]barArriveMsg
+	barRel [2]barReleaseMsg
+
 	// Free lists for pooled protocol records (see pool.go) and scratch
 	// storage reused across installFetched calls.
-	pageReqFree []*pageReqMsg
-	fpFree      []*fetchPayload
-	diffFree    []*diffMsg
-	lockReqFree []*lockReqMsg
-	grantFree   []*lockGrant
-	vcMsgFree   []*vcMsg
-	barArrFree  []*barArriveMsg
-	barRelFree  []*barReleaseMsg
-	runDepFree  []*runDep
-	verMarkFree []*verMark
-	sgDepFree   []*sgDep
-	invFree     [][]int
-	lockChunk   []nodeLock // arena for nodeLock records (see Node.lock)
-	modsRuns    []memory.Run
-	modsBuf     []byte
+	pageReqs  freeList[pageReqMsg]
+	fetches   freeList[fetchPayload]
+	diffs     freeList[diffMsg]
+	lockReqs  freeList[lockReqMsg]
+	grants    freeList[lockGrant]
+	vcMsgs    freeList[vcMsg]
+	runDeps   freeList[runDep]
+	verMarks  freeList[verMark]
+	sgDeps    freeList[sgDep]
+	invFree   [][]int
+	lockChunk []nodeLock // arena for nodeLock records (see Node.lock)
+	modsRuns  []memory.Run
+	modsBuf   []byte
 
 	Acct stats.SVMAccounting
 }

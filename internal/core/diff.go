@@ -19,33 +19,35 @@ import (
 // diff is computed, followed by a version marker — no home processor
 // involvement (which is why DD requires remote fetch with retry).
 
-// diffMsg is the diff storage for one page: pooled, with the run list
-// and the copied run bytes reused across flushes. On the packed (Base)
-// path it travels whole and the home frees it after application; on the
-// DD path the per-run deposits alias buf and the version marker (which
-// per-pair FIFO delivers last) frees it.
+// diffMsg is the diff storage for one page: pooled at the writer
+// (origin), with the run list and the copied run bytes reused across
+// flushes. On the packed (Base) path it travels whole and the home
+// releases it after application; on the DD path the per-run deposits
+// alias buf and the version marker (which per-pair FIFO delivers last)
+// releases it.
 type diffMsg struct {
-	page int
-	src  int
-	seq  uint64
-	runs []memory.Run
-	buf  []byte // backing storage for the runs' data
+	page   int
+	origin *Node // the writer
+	seq    uint64
+	runs   []memory.Run
+	buf    []byte // backing storage for the runs' data
 }
 
 func (d *diffMsg) wireSize() int {
 	return diffMsgOverhead + memory.RunsBytes(d.runs) + runHeader*len(d.runs)
 }
 
-// runDep is one direct-diff run deposit (pooled, freed at delivery).
-// Its run data aliases the owning flush's diffMsg buffer.
+// runDep is one direct-diff run deposit (pooled, released at
+// delivery). Its run data aliases the owning flush's diffMsg buffer.
 type runDep struct {
-	owner *Node // origin node (pool + Space access)
-	pg    int
-	run   memory.Run
+	origin *Node // the writer (pool + Space access)
+	pg     int
+	run    memory.Run
 }
 
-// verMark is a direct-diff version marker (pooled, freed at delivery);
-// it carries the diffMsg to release once all runs have landed.
+// verMark is a direct-diff version marker (pooled, released at
+// delivery); it carries the diffMsg to release once all runs have
+// landed.
 type verMark struct {
 	origin *Node
 	home   *Node
@@ -61,19 +63,17 @@ type sgDep struct {
 	origin *Node
 	home   *Node
 	pg     int
-	src    int
 	seq    uint64
 	d      *diffMsg
 }
 
 // ApplySG implements vmmc.SGApplier (engine context, home NI firmware —
-// the home's logical process, so the consumed records go to the home's
-// pools, not the origin's).
+// the home's logical process, which releases the consumed records).
 func (m *sgDep) ApplySG() {
 	memory.ApplyRuns(m.origin.sys.Space.HomeCopy(m.pg), m.d.runs)
-	m.home.bumpVersion(m.pg, m.src, m.seq)
-	m.home.putDiff(m.d)
-	m.home.putSGDep(m)
+	m.home.bumpVersion(m.pg, m.origin.ID, m.seq)
+	m.home.release(m.d)
+	m.home.release(m)
 }
 
 // closeInterval closes the node's open write interval: computes diffs
@@ -144,7 +144,7 @@ func (n *Node) flushPage(p *sim.Proc, pg int, seq uint64) {
 		p.Sleep(sim.Time(float64(n.sys.Cfg.PageSize) * c.DiffPerByte))
 		n.Acct.DiffCompute += sim.Time(float64(n.sys.Cfg.PageSize) * c.DiffPerByte)
 		d = n.getDiff()
-		d.page, d.src, d.seq = pg, n.ID, seq
+		d.page, d.seq = pg, seq
 		d.runs, d.buf = n.Mem.DiffCopy(pg, d.runs[:0], d.buf)
 		n.Mem.DropTwin(pg)
 		n.Acct.DiffBytes += uint64(memory.RunsBytes(d.runs))
@@ -160,7 +160,7 @@ func (n *Node) flushPage(p *sim.Proc, pg int, seq uint64) {
 			// home NI scatters itself — one message instead of many, at
 			// extra NI occupancy on both sides.
 			sg := n.getSGDep()
-			sg.origin, sg.home, sg.pg, sg.src, sg.seq, sg.d = n, n.sys.Nodes[home], pg, n.ID, seq, d
+			sg.home, sg.pg, sg.seq, sg.d = n.sys.Nodes[home], pg, seq, d
 			n.ep.DepositGatheredTo(p, home, d.wireSize(), "sg-diff", sg)
 			return
 		}
@@ -170,7 +170,7 @@ func (n *Node) flushPage(p *sim.Proc, pg int, seq uint64) {
 		if d != nil {
 			for i := range d.runs {
 				rd := n.getRunDep()
-				rd.owner, rd.pg, rd.run = n, pg, d.runs[i]
+				rd.pg, rd.run = pg, d.runs[i]
 				n.ep.DepositTo(p, home, runHeader+len(rd.run.Data), "direct-diff", rd, runDepDel)
 			}
 		}
@@ -183,7 +183,7 @@ func (n *Node) flushPage(p *sim.Proc, pg int, seq uint64) {
 	// protocol-process control and queued page requests are retried).
 	if d == nil {
 		d = n.getDiff()
-		d.page, d.src, d.seq = pg, n.ID, seq
+		d.page, d.seq = pg, seq
 	}
 	n.ep.SendInterrupt(p, home, d.wireSize(), vmmc.MsgDiff, d)
 }
@@ -227,7 +227,7 @@ func (n *Node) closePageEarly(p *sim.Proc, pg int) {
 // delivery releases.
 func (n *Node) sendVersionMarker(p *sim.Proc, home, pg int, seq uint64, d *diffMsg) {
 	vm := n.getVerMark()
-	vm.origin, vm.home, vm.pg, vm.seq, vm.d = n, n.sys.Nodes[home], pg, seq, d
+	vm.home, vm.pg, vm.seq, vm.d = n.sys.Nodes[home], pg, seq, d
 	n.ep.DepositTo(p, home, 16, "diff-done", vm, verMarkDel)
 }
 

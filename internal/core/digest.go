@@ -126,17 +126,15 @@ func (n *Node) digestInto(d *sim.Digest) {
 	d.U64(uint64(n.victim))
 
 	// Pooled free lists and arenas: lengths only.
-	d.U64(uint64(len(n.pageReqFree)))
-	d.U64(uint64(len(n.fpFree)))
-	d.U64(uint64(len(n.diffFree)))
-	d.U64(uint64(len(n.lockReqFree)))
-	d.U64(uint64(len(n.grantFree)))
-	d.U64(uint64(len(n.vcMsgFree)))
-	d.U64(uint64(len(n.barArrFree)))
-	d.U64(uint64(len(n.barRelFree)))
-	d.U64(uint64(len(n.runDepFree)))
-	d.U64(uint64(len(n.verMarkFree)))
-	d.U64(uint64(len(n.sgDepFree)))
+	d.U64(uint64(len(n.pageReqs.free)))
+	d.U64(uint64(len(n.fetches.free)))
+	d.U64(uint64(len(n.diffs.free)))
+	d.U64(uint64(len(n.lockReqs.free)))
+	d.U64(uint64(len(n.grants.free)))
+	d.U64(uint64(len(n.vcMsgs.free)))
+	d.U64(uint64(len(n.runDeps.free)))
+	d.U64(uint64(len(n.verMarks.free)))
+	d.U64(uint64(len(n.sgDeps.free)))
 	d.U64(uint64(len(n.invFree)))
 	d.U64(uint64(len(n.ivChunk)))
 	d.U64(uint64(len(n.ivPages)))

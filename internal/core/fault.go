@@ -18,25 +18,26 @@ type pendingPage struct {
 	msg *pageReqMsg
 }
 
-// fetchPayload is what an NI remote fetch returns: a snapshot of the
-// home copy and the home's applied-version row at snapshot time. Pooled;
-// the requester releases it once the snapshot is consumed.
+// fetchPayload is a page snapshot: the home copy and the home's
+// applied-version row at snapshot time, returned by an NI remote fetch
+// or attached to a Base page reply. The home draws it from its own
+// pools (Node.snapshot) and the requester releases it back there once
+// the snapshot is consumed.
 type fetchPayload struct {
-	page int
-	data []byte
+	home *Node
+	data []byte // from the home's page-buffer pool
 	ver  []uint64
 }
 
-// pageReqMsg is the Base-protocol page request record. It is pooled and
-// doubles as the reply destination: the home writes the snapshot into
-// data/ver at reply time and delivery raises done (the requester reads
-// the fields only after done, so writing them early is safe).
+// pageReqMsg is the Base-protocol page request record. It is pooled at
+// the requester and doubles as the reply carrier: the home attaches its
+// snapshot at reply time and delivery raises done (the requester reads
+// reply only after done, so attaching it early is safe).
 type pageReqMsg struct {
-	page int
-	need []uint64 // requester's requirement row (copied at send time)
-	done sim.Flag
-	data []byte   // reply: page snapshot (from the home's buffer pool)
-	ver  []uint64 // reply: home version row at snapshot time
+	page  int
+	need  []uint64 // requester's requirement row (copied at send time)
+	done  sim.Flag
+	reply *fetchPayload
 }
 
 const (
@@ -126,14 +127,16 @@ func (n *Node) faultIn(p *sim.Proc, page int) {
 		}
 		n.fetching[page] = true
 
-		var data []byte
+		var pl *fetchPayload
 		if n.sys.Feat.RF {
-			data = n.fetchRF(p, page)
+			pl = n.fetchRF(p, page)
 		} else {
-			data = n.fetchBase(p, page)
+			pl = n.fetchBase(p, page)
 		}
-		n.installFetched(page, data)
-		n.Mem.Pool().Put(data) // snapshot consumed: recycle the buffer
+		copy(n.copyVer.row(page), pl.ver)
+		n.copyVerSet[page] = true
+		n.installFetched(page, pl.data)
+		n.release(pl) // snapshot consumed
 		n.state[page] = pageValid
 		// Map the fresh page read-only.
 		p.Sleep(c.MprotectBase)
@@ -165,10 +168,8 @@ func (n *Node) installFetched(page int, data []byte) {
 }
 
 // fetchBase is the interrupt path: request -> home protocol process ->
-// reply deposit. The home queues the request if diffs are pending. The
-// fetched snapshot's version row is recorded in copyVer before the
-// pooled request is released.
-func (n *Node) fetchBase(p *sim.Proc, page int) []byte {
+// reply deposit. The home queues the request if diffs are pending.
+func (n *Node) fetchBase(p *sim.Proc, page int) *fetchPayload {
 	home := n.sys.Space.Home(page)
 	req := n.getPageReq()
 	req.page = page
@@ -179,54 +180,40 @@ func (n *Node) fetchBase(p *sim.Proc, page int) []byte {
 		copy(req.need, n.need.row(page))
 		n.ep.SendInterrupt(p, home, pageReqOverhead+8*len(req.need), vmmc.MsgPageReq, req)
 		req.done.Wait(p)
-		if n.needSatisfied(page, req.ver) {
+		if n.needSatisfied(page, req.reply.ver) {
 			break
 		}
 		n.Acct.FetchRetries++
-		n.Mem.Pool().Put(req.data) // stale snapshot: recycle
+		n.release(req.reply) // stale snapshot
 		req.done.Reset()
 	}
-	copy(n.copyVer.row(page), req.ver)
-	n.copyVerSet[page] = true
-	data := req.data
+	pl := req.reply
 	n.putPageReq(req)
-	return data
+	return pl
 }
 
 // fetchRF is the NI remote-fetch path with requester retry on stale
 // versions (no home processor involvement).
-func (n *Node) fetchRF(p *sim.Proc, page int) []byte {
+func (n *Node) fetchRF(p *sim.Proc, page int) *fetchPayload {
 	home := n.sys.Space.Home(page)
 	size := n.sys.Cfg.PageSize + pageReplyOverhead
 	for {
 		rep := n.ep.RemoteFetch(p, home, size, "page-req", "page-reply", page)
 		pl := rep.Payload.(*fetchPayload)
 		if n.needSatisfied(page, pl.ver) {
-			copy(n.copyVer.row(page), pl.ver)
-			n.copyVerSet[page] = true
-			data := pl.data
-			n.putFetchPayload(pl)
-			return data
+			return pl
 		}
 		n.Acct.FetchRetries++
-		n.Mem.Pool().Put(pl.data) // stale snapshot: recycle
-		n.putFetchPayload(pl)
+		n.release(pl) // stale snapshot
 		p.Sleep(n.sys.Cfg.Costs.FetchRetryBackoff)
 	}
 }
 
 // serveFetch runs in the home NI's firmware: snapshot the page and its
-// version row into a pooled payload (released by the requester). No
-// host time is charged.
+// version row (released by the requester). No host time is charged.
 func (n *Node) serveFetch(req vmmc.FetchReq) vmmc.FetchReply {
-	page := req.Tag
-	pl := n.getFetchPayload()
-	pl.page = page
-	pl.data = n.Mem.Pool().Get()
-	copy(pl.data, n.sys.Space.HomeCopy(page))
-	copy(pl.ver, n.homeVer.row(page))
 	return vmmc.FetchReply{
-		Payload: pl,
+		Payload: n.snapshot(req.Tag),
 		Size:    n.sys.Cfg.PageSize + pageReplyOverhead,
 	}
 }

@@ -61,12 +61,11 @@ func (n *Node) handlePageReq(p *sim.Proc, src int, req *pageReqMsg) {
 	n.sendPageReply(p, src, req)
 }
 
-// sendPageReply snapshots the home copy and version row into the pooled
-// request (the reply rides the request record) and deposits it back.
+// sendPageReply attaches a snapshot of the home copy and version row to
+// the pooled request (the reply rides the request record) and deposits
+// it back.
 func (n *Node) sendPageReply(p *sim.Proc, src int, req *pageReqMsg) {
-	req.data = n.Mem.Pool().Get()
-	copy(req.data, n.sys.Space.HomeCopy(req.page))
-	copy(req.ver, n.homeVer.row(req.page))
+	req.reply = n.snapshot(req.page)
 	n.ep.DepositTo(p, src, n.sys.Cfg.PageSize+pageReplyOverhead, "page-reply", req, pageReplyDel)
 }
 
@@ -76,8 +75,8 @@ func (n *Node) sendPageReply(p *sim.Proc, src int, req *pageReqMsg) {
 func (n *Node) applyPackedDiff(p *sim.Proc, d *diffMsg) {
 	p.Sleep(sim.Time(float64(d.wireSize()) * n.sys.Cfg.Costs.HandlerPerByte))
 	memory.ApplyRuns(n.sys.Space.HomeCopy(d.page), d.runs)
-	page, src, seq := d.page, d.src, d.seq
-	n.putDiff(d) // consumed; free before the retry path yields
+	page, src, seq := d.page, d.origin.ID, d.seq
+	n.release(d) // consumed; free before the retry path yields
 	n.bumpVersion(page, src, seq)
 	reqs := n.pendingReqs[page]
 	if len(reqs) == 0 {
@@ -107,7 +106,7 @@ func (n *Node) applyPackedDiff(p *sim.Proc, d *diffMsg) {
 func (n *Node) handleLockReq(p *sim.Proc, req *lockReqMsg) {
 	meta := n.lockMetaFor(req.id)
 	prev := meta.lastOwner
-	meta.lastOwner = req.requester
+	meta.lastOwner = req.origin.ID
 	if prev == n.ID {
 		n.handleLockFwd(p, req)
 		return
@@ -118,24 +117,24 @@ func (n *Node) handleLockReq(p *sim.Proc, req *lockReqMsg) {
 // handleLockFwd services a lock request at the (previous) owner: grant
 // it now if the lock is cached and free, otherwise park the requester
 // for the next local release. Either way the pooled request is released
-// here.
+// here, back to the requester.
 func (n *Node) handleLockFwd(p *sim.Proc, req *lockReqMsg) {
 	lk := n.lock(req.id)
 	if lk.cached && !lk.held {
-		n.grantRemote(p, lk, req.requester, req.reqVC)
-		n.putLockReq(req)
+		n.grantRemote(p, lk, req.origin.ID, req.reqVC)
+		n.release(req)
 		return
 	}
 	if lk.pendingReq {
 		panic(fmt.Sprintf("core: lock %d at node %d already has a pending remote requester", req.id, n.ID))
 	}
 	lk.pendingReq = true
-	lk.pendingRequester = req.requester
+	lk.pendingRequester = req.origin.ID
 	if lk.pendingVC == nil {
 		lk.pendingVC = make([]uint64, n.sys.Cfg.Nodes)
 	}
 	copy(lk.pendingVC, req.reqVC)
-	n.putLockReq(req)
+	n.release(req)
 }
 
 // handleBarArrive aggregates a barrier arrival at the master; the last
@@ -146,17 +145,21 @@ func (n *Node) handleBarArrive(p *sim.Proc, m *barArriveMsg) {
 	e.mArrived++
 	vecMergeMax(e.mVC, m.vc)
 	e.mIvs = append(e.mIvs, m.intervals...)
-	n.putBarArr(m) // aggregated; intervals are arena-backed
 	if e.mArrived < n.sys.Cfg.Nodes {
 		return
 	}
-	rel := n.getBarRel()
+	// The release is slot seq&1 of the master's release ring: the slot
+	// is rebuilt for seq+2 only after every node's seq+2 arrival, and a
+	// node arrives at seq+2 only after it has applied this release.
+	rel := &n.barRel[seq&1]
+	if rel.vc == nil {
+		rel.vc = make([]uint64, n.sys.Cfg.Nodes)
+	}
 	rel.seq = seq
 	copy(rel.vc, e.mVC)
 	// Hand the interval union to the release record by swapping slices:
 	// the epoch keeps the (empty) old backing for its next reuse.
 	rel.intervals, e.mIvs = e.mIvs, rel.intervals[:0]
-	rel.refs = int32(n.sys.Cfg.Nodes)
 	for dst := 0; dst < n.sys.Cfg.Nodes; dst++ {
 		if dst == n.ID {
 			n.handleBarRelease(rel)

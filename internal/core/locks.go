@@ -32,19 +32,22 @@ type lockMeta struct {
 	lastOwner int
 }
 
-// lockReqMsg is the Base acquire payload: pooled, and reused verbatim
-// for the home's forward hop (same wire size); the final consumer — the
-// node that grants or queues the request — releases it.
+// lockReqMsg is the Base acquire payload: pooled at the requester
+// (origin), and reused verbatim for the home's forward hop (same wire
+// size); the final consumer — the node that grants or queues the
+// request — releases it.
 type lockReqMsg struct {
-	id        int
-	requester int
-	reqVC     []uint64
+	id     int
+	origin *Node // the requester
+	reqVC  []uint64
 }
 
-// lockGrant is the Base/DW grant payload (pooled; the requester
-// releases it after applying the carried coherence information).
+// lockGrant is the Base/DW grant payload (pooled at the granter; the
+// requester releases it after applying the carried coherence
+// information).
 type lockGrant struct {
 	id        int
+	origin    *Node
 	vc        []uint64
 	intervals []*interval // Base only: piggybacked write notices
 }
@@ -59,8 +62,10 @@ func (g *lockGrant) wireSize() int {
 
 // vcMsg is the pooled NI-lock timestamp payload (NIL path): boxing the
 // record pointer into the NI's opaque payload slot allocates nothing.
+// The releaser allocates it and the next acquirer releases it.
 type vcMsg struct {
-	vc []uint64
+	origin *Node
+	vc     []uint64
 }
 
 // nodeLock is the node-level lock cache.
@@ -158,13 +163,13 @@ func (n *Node) acquireNIL(p *sim.Proc, lk *nodeLock) {
 	vm := payload.(*vcMsg)
 	n.waitNotices(p, vm.vc)
 	n.applyUpTo(p, vm.vc)
-	n.putVCMsg(vm)
+	n.release(vm)
 }
 
 func (n *Node) acquireBase(p *sim.Proc, lk *nodeLock) {
 	lk.wantGrant = true
 	req := n.getLockReq()
-	req.id, req.requester = lk.id, n.ID
+	req.id = lk.id
 	copy(req.reqVC, n.vc)
 	home := n.sys.lockHome(lk.id)
 	size := lockMsgOverhead + 8*len(req.reqVC)
@@ -188,7 +193,7 @@ func (n *Node) acquireBase(p *sim.Proc, lk *nodeLock) {
 		n.waitNotices(p, g.vc)
 	}
 	n.applyUpTo(p, g.vc)
-	n.putGrant(g)
+	n.release(g)
 }
 
 // LockRelease releases lock id. A waiting local processor gets the lock

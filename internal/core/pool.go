@@ -1,270 +1,189 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"genima/internal/memory"
 	"genima/internal/nic"
+	"genima/internal/sim"
 )
 
 // Deterministic free lists for protocol records, one set per node.
 //
-// Ownership rules (see DESIGN.md §7): a record is taken from some
-// node's free list, travels through the protocol as a typed packet
-// payload, and is released — possibly at a different node — by the
-// single party the protocol designates as its final consumer. Records
-// therefore migrate between per-node pools; the engine is
-// single-threaded, so the migration order (and hence every Get) is
-// deterministic. Embedded sim.Flag values are Reset (not reallocated)
-// when a record is recycled, which is safe only after the flag's
-// waiters have resumed — the protocol guarantees a record's waiter has
-// consumed the result before the record is released.
+// Ownership rule (see DESIGN.md §7): a record belongs to the node that
+// allocated it for its whole life. It is taken from that node's free
+// list, travels through the protocol as a typed packet payload, and the
+// single party the protocol designates as its final consumer — often
+// another node — hands it back with release, which returns it to the
+// origin's list. A one-way flow (writer -> home diffs, home -> requester
+// page snapshots) therefore recycles the producer's records instead of
+// growing the consumer's list while the producer keeps allocating.
+// Embedded sim.Flag values are Reset (not reallocated) when a record is
+// recycled, which is safe only after the flag's waiters have resumed —
+// the protocol guarantees a record's waiter has consumed the result
+// before the record is released.
+
+// freeList is one node's LIFO free list of one record type. misses
+// counts gets that found the list empty and allocated a fresh record.
+type freeList[T any] struct {
+	free   []*T
+	misses uint64
+}
+
+// get pops a record, or allocates one and lets fresh attach its origin
+// and per-record storage (fresh must not capture variables, so passing
+// it allocates nothing).
+func (f *freeList[T]) get(n *Node, fresh func(n *Node, r *T)) *T {
+	if k := len(f.free); k > 0 {
+		r := f.free[k-1]
+		f.free[k-1] = nil
+		f.free = f.free[:k-1]
+		return r
+	}
+	f.misses++
+	r := new(T)
+	fresh(n, r)
+	return r
+}
+
+func (f *freeList[T]) put(r *T) { f.free = append(f.free, r) }
+
+// tally adds the list's misses and parked records to the running totals.
+func (f *freeList[T]) tally(misses, free *uint64) {
+	*misses += f.misses
+	*free += uint64(len(f.free))
+}
+
+// PoolUse reports the largest per-node totals, over every record free
+// list and the page-buffer pool, of pool misses (fresh allocations) and
+// of records and buffers parked on free lists. Because records return
+// to the node that allocated them, both stay flat as a run grows longer.
+func (s *System) PoolUse() (misses, free uint64) {
+	for _, n := range s.Nodes {
+		var m, f uint64
+		n.pageReqs.tally(&m, &f)
+		n.fetches.tally(&m, &f)
+		n.diffs.tally(&m, &f)
+		n.lockReqs.tally(&m, &f)
+		n.grants.tally(&m, &f)
+		n.vcMsgs.tally(&m, &f)
+		n.runDeps.tally(&m, &f)
+		n.verMarks.tally(&m, &f)
+		n.sgDeps.tally(&m, &f)
+		if n.Mem != nil {
+			m, f = m+n.Mem.Pool().Allocs, f+uint64(n.Mem.Pool().Len())
+		}
+		misses, free = max(misses, m), max(free, f)
+	}
+	return misses, free
+}
+
+// release hands a consumed record back to the node that allocated it;
+// its Run method does the return. n is the consuming node, whose logical
+// process is running: in a serial run the record returns inline, and in
+// a parallel round the write to the origin's free list (possibly another
+// LP's state) waits for the round barrier via DeferFlush. Pool contents
+// never influence the simulation, so the trace is the same either way.
+func (n *Node) release(r sim.Handler) { n.eng.DeferFlush(r) }
 
 func (n *Node) getPageReq() *pageReqMsg {
-	if k := len(n.pageReqFree); k > 0 {
-		r := n.pageReqFree[k-1]
-		n.pageReqFree[k-1] = nil
-		n.pageReqFree = n.pageReqFree[:k-1]
-		return r
-	}
-	nn := n.sys.Cfg.Nodes
-	return &pageReqMsg{need: make([]uint64, nn), ver: make([]uint64, nn)}
+	return n.pageReqs.get(n, func(n *Node, r *pageReqMsg) { r.need = make([]uint64, n.sys.Cfg.Nodes) })
 }
 
+// putPageReq recycles a page request (the requester both allocates and
+// consumes it, so it never leaves its origin).
 func (n *Node) putPageReq(r *pageReqMsg) {
-	r.data = nil
+	r.reply = nil
 	r.done.Reset()
-	n.pageReqFree = append(n.pageReqFree, r)
+	n.pageReqs.put(r)
 }
 
-func (n *Node) getFetchPayload() *fetchPayload {
-	if k := len(n.fpFree); k > 0 {
-		r := n.fpFree[k-1]
-		n.fpFree[k-1] = nil
-		n.fpFree = n.fpFree[:k-1]
-		return r
-	}
-	// Pool miss: build a chunk of records over one backing version
-	// array, so a growing in-flight window costs two allocations per
-	// eight records.
-	nn := n.sys.Cfg.Nodes
-	chunk := make([]fetchPayload, 8)
-	vers := make([]uint64, len(chunk)*nn)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].ver = vers[i*nn : (i+1)*nn : (i+1)*nn]
-		if i > 0 {
-			n.fpFree = append(n.fpFree, &chunk[i])
-		}
-	}
-	return &chunk[0]
+// snapshot copies a page homed here and its applied-version row into a
+// payload drawn from this node's pools (NI remote fetch and Base page
+// reply alike); the requester releases it back here once installed.
+func (n *Node) snapshot(page int) *fetchPayload {
+	pl := n.fetches.get(n, func(n *Node, pl *fetchPayload) { pl.home, pl.ver = n, make([]uint64, n.sys.Cfg.Nodes) })
+	pl.data = n.Mem.Pool().Get()
+	copy(pl.data, n.sys.Space.HomeCopy(page))
+	copy(pl.ver, n.homeVer.row(page))
+	return pl
 }
 
-func (n *Node) putFetchPayload(r *fetchPayload) {
-	r.data = nil
-	n.fpFree = append(n.fpFree, r)
+// Run implements sim.Handler for release: the page buffer and the
+// record return to the home.
+func (pl *fetchPayload) Run(_, _ sim.Time) {
+	pl.home.Mem.Pool().Put(pl.data)
+	pl.data = nil
+	pl.home.fetches.put(pl)
 }
 
+// getDiff presizes fresh records so DiffCopy does not regrow runs/buf
+// word by word on first use (buf holds at most one page of changed
+// bytes).
 func (n *Node) getDiff() *diffMsg {
-	if k := len(n.diffFree); k > 0 {
-		r := n.diffFree[k-1]
-		n.diffFree[k-1] = nil
-		n.diffFree = n.diffFree[:k-1]
-		return r
-	}
-	// Presize fresh records so DiffCopy does not regrow runs/buf word
-	// by word on first use (buf holds at most one page of changed
-	// bytes), and chunk them: diff records go in flight in bursts at
-	// interval close, so misses cluster.
-	ps := n.sys.Cfg.PageSize
-	chunk := make([]diffMsg, 4)
-	runsBack := make([]memory.Run, len(chunk)*64)
-	bufBack := make([]byte, len(chunk)*ps)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].runs = runsBack[i*64 : i*64 : (i+1)*64]
-		chunk[i].buf = bufBack[i*ps : i*ps : (i+1)*ps]
-		if i > 0 {
-			n.diffFree = append(n.diffFree, &chunk[i])
-		}
-	}
-	return &chunk[0]
+	return n.diffs.get(n, func(n *Node, d *diffMsg) {
+		d.origin = n
+		d.runs = make([]memory.Run, 0, 64)
+		d.buf = make([]byte, 0, n.sys.Cfg.PageSize)
+	})
 }
 
-func (n *Node) putDiff(d *diffMsg) {
+// Run implements sim.Handler for release.
+func (d *diffMsg) Run(_, _ sim.Time) {
 	d.runs = d.runs[:0]
-	n.diffFree = append(n.diffFree, d)
+	d.origin.diffs.put(d)
 }
 
 func (n *Node) getLockReq() *lockReqMsg {
-	if k := len(n.lockReqFree); k > 0 {
-		r := n.lockReqFree[k-1]
-		n.lockReqFree[k-1] = nil
-		n.lockReqFree = n.lockReqFree[:k-1]
-		return r
-	}
-	nn := n.sys.Cfg.Nodes
-	chunk := make([]lockReqMsg, 8)
-	vcs := make([]uint64, len(chunk)*nn)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].reqVC = vcs[i*nn : (i+1)*nn : (i+1)*nn]
-		if i > 0 {
-			n.lockReqFree = append(n.lockReqFree, &chunk[i])
-		}
-	}
-	return &chunk[0]
+	return n.lockReqs.get(n, func(n *Node, r *lockReqMsg) { r.origin, r.reqVC = n, make([]uint64, n.sys.Cfg.Nodes) })
 }
 
-func (n *Node) putLockReq(r *lockReqMsg) {
-	n.lockReqFree = append(n.lockReqFree, r)
-}
+// Run implements sim.Handler for release.
+func (r *lockReqMsg) Run(_, _ sim.Time) { r.origin.lockReqs.put(r) }
 
 func (n *Node) getGrant() *lockGrant {
-	if k := len(n.grantFree); k > 0 {
-		r := n.grantFree[k-1]
-		n.grantFree[k-1] = nil
-		n.grantFree = n.grantFree[:k-1]
-		return r
-	}
-	nn := n.sys.Cfg.Nodes
-	chunk := make([]lockGrant, 8)
-	vcs := make([]uint64, len(chunk)*nn)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].vc = vcs[i*nn : (i+1)*nn : (i+1)*nn]
-		if i > 0 {
-			n.grantFree = append(n.grantFree, &chunk[i])
-		}
-	}
-	return &chunk[0]
+	return n.grants.get(n, func(n *Node, g *lockGrant) { g.origin, g.vc = n, make([]uint64, n.sys.Cfg.Nodes) })
 }
 
-func (n *Node) putGrant(g *lockGrant) {
+// Run implements sim.Handler for release.
+func (g *lockGrant) Run(_, _ sim.Time) {
 	g.intervals = g.intervals[:0]
-	n.grantFree = append(n.grantFree, g)
+	g.origin.grants.put(g)
 }
 
 func (n *Node) getVCMsg() *vcMsg {
-	if k := len(n.vcMsgFree); k > 0 {
-		r := n.vcMsgFree[k-1]
-		n.vcMsgFree[k-1] = nil
-		n.vcMsgFree = n.vcMsgFree[:k-1]
-		return r
-	}
-	nn := n.sys.Cfg.Nodes
-	chunk := make([]vcMsg, 8)
-	vcs := make([]uint64, len(chunk)*nn)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].vc = vcs[i*nn : (i+1)*nn : (i+1)*nn]
-		if i > 0 {
-			n.vcMsgFree = append(n.vcMsgFree, &chunk[i])
-		}
-	}
-	return &chunk[0]
+	return n.vcMsgs.get(n, func(n *Node, m *vcMsg) { m.origin, m.vc = n, make([]uint64, n.sys.Cfg.Nodes) })
 }
 
-func (n *Node) putVCMsg(m *vcMsg) {
-	n.vcMsgFree = append(n.vcMsgFree, m)
-}
-
-func (n *Node) getBarArr() *barArriveMsg {
-	if k := len(n.barArrFree); k > 0 {
-		r := n.barArrFree[k-1]
-		n.barArrFree[k-1] = nil
-		n.barArrFree = n.barArrFree[:k-1]
-		return r
-	}
-	nn := n.sys.Cfg.Nodes
-	chunk := make([]barArriveMsg, 8)
-	vcs := make([]uint64, len(chunk)*nn)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].vc = vcs[i*nn : (i+1)*nn : (i+1)*nn]
-		if i > 0 {
-			n.barArrFree = append(n.barArrFree, &chunk[i])
-		}
-	}
-	return &chunk[0]
-}
-
-func (n *Node) putBarArr(m *barArriveMsg) {
-	m.intervals = m.intervals[:0]
-	n.barArrFree = append(n.barArrFree, m)
-}
-
-func (n *Node) getBarRel() *barReleaseMsg {
-	if k := len(n.barRelFree); k > 0 {
-		r := n.barRelFree[k-1]
-		n.barRelFree[k-1] = nil
-		n.barRelFree = n.barRelFree[:k-1]
-		return r
-	}
-	nn := n.sys.Cfg.Nodes
-	chunk := make([]barReleaseMsg, 8)
-	vcs := make([]uint64, len(chunk)*nn)
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].vc = vcs[i*nn : (i+1)*nn : (i+1)*nn]
-		if i > 0 {
-			n.barRelFree = append(n.barRelFree, &chunk[i])
-		}
-	}
-	return &chunk[0]
-}
-
-func (n *Node) putBarRel(m *barReleaseMsg) {
-	m.intervals = m.intervals[:0]
-	n.barRelFree = append(n.barRelFree, m)
-}
+// Run implements sim.Handler for release.
+func (m *vcMsg) Run(_, _ sim.Time) { m.origin.vcMsgs.put(m) }
 
 func (n *Node) getRunDep() *runDep {
-	if k := len(n.runDepFree); k > 0 {
-		r := n.runDepFree[k-1]
-		n.runDepFree[k-1] = nil
-		n.runDepFree = n.runDepFree[:k-1]
-		return r
-	}
-	// Direct diffs put one runDep in flight per run of a page diff, so
-	// misses come in bursts; chunk them.
-	chunk := make([]runDep, 16)
-	for i := len(chunk) - 1; i > 0; i-- {
-		n.runDepFree = append(n.runDepFree, &chunk[i])
-	}
-	return &chunk[0]
+	return n.runDeps.get(n, func(n *Node, r *runDep) { r.origin = n })
 }
 
-func (n *Node) putRunDep(r *runDep) {
+// Run implements sim.Handler for release.
+func (r *runDep) Run(_, _ sim.Time) {
 	r.run = memory.Run{}
-	n.runDepFree = append(n.runDepFree, r)
+	r.origin.runDeps.put(r)
 }
 
 func (n *Node) getVerMark() *verMark {
-	if k := len(n.verMarkFree); k > 0 {
-		r := n.verMarkFree[k-1]
-		n.verMarkFree[k-1] = nil
-		n.verMarkFree = n.verMarkFree[:k-1]
-		return r
-	}
-	chunk := make([]verMark, 8)
-	for i := len(chunk) - 1; i > 0; i-- {
-		n.verMarkFree = append(n.verMarkFree, &chunk[i])
-	}
-	return &chunk[0]
+	return n.verMarks.get(n, func(n *Node, v *verMark) { v.origin = n })
 }
 
-func (n *Node) putVerMark(v *verMark) {
+// Run implements sim.Handler for release.
+func (v *verMark) Run(_, _ sim.Time) {
 	v.d = nil
-	n.verMarkFree = append(n.verMarkFree, v)
+	v.origin.verMarks.put(v)
 }
 
 func (n *Node) getSGDep() *sgDep {
-	if k := len(n.sgDepFree); k > 0 {
-		r := n.sgDepFree[k-1]
-		n.sgDepFree[k-1] = nil
-		n.sgDepFree = n.sgDepFree[:k-1]
-		return r
-	}
-	return &sgDep{}
+	return n.sgDeps.get(n, func(n *Node, m *sgDep) { m.origin = n })
 }
 
-func (n *Node) putSGDep(m *sgDep) {
+// Run implements sim.Handler for release.
+func (m *sgDep) Run(_, _ sim.Time) {
 	m.d = nil
-	n.sgDepFree = append(n.sgDepFree, m)
+	m.origin.sgDeps.put(m)
 }
 
 // getInv returns a zero-length invalidation scratch slice. applyUpTo can
@@ -285,13 +204,12 @@ func (n *Node) putInv(s []int) {
 }
 
 // Shared packet deliverers: singletons invoked by the NI when the final
-// packet of a protocol message lands, replacing per-send OnDeliver
-// closures. Stateless ones are package-level; the ones that must map
-// pkt.Dst to a *Node live on System.
+// packet of a protocol message lands. Stateless ones are package-level;
+// the ones that must map pkt.Dst to a *Node live on System.
 
-// pageReplyDeliver completes a Base page fetch: the reply data was
-// written into the pooled request record at reply time, so delivery
-// only wakes the requester.
+// pageReplyDeliver completes a Base page fetch: the home attached its
+// snapshot to the request record at reply time, so delivery only wakes
+// the requester.
 type pageReplyDeliver struct{}
 
 var pageReplyDel pageReplyDeliver
@@ -299,24 +217,22 @@ var pageReplyDel pageReplyDeliver
 func (pageReplyDeliver) Deliver(pkt *nic.Packet) { pkt.Payload.(*pageReqMsg).done.Set() }
 
 // runDepDeliver applies one direct-diff run into the home copy (DD: the
-// destination NI deposits the run, no host involvement). The record is
-// freed into the destination node's pool — delivery runs on the
-// destination's logical process, and the origin node may be executing
-// concurrently, so its free list must not be touched here.
+// destination NI deposits the run, no host involvement) and releases
+// the record back to its origin.
 type runDepDeliver struct{}
 
 var runDepDel runDepDeliver
 
 func (runDepDeliver) Deliver(pkt *nic.Packet) {
 	rd := pkt.Payload.(*runDep)
-	memory.ApplyRun(rd.owner.sys.Space.HomeCopy(rd.pg), rd.run)
-	rd.owner.sys.Nodes[pkt.Dst].putRunDep(rd)
+	memory.ApplyRun(rd.origin.sys.Space.HomeCopy(rd.pg), rd.run)
+	rd.origin.sys.Nodes[pkt.Dst].release(rd)
 }
 
 // verMarkDeliver lands a direct-diff version marker. Per-pair FIFO
 // delivery guarantees the run deposits (sent first) have already been
-// applied, so the diff record whose buffer they aliased can be freed —
-// into the home's pool: delivery runs on the home's logical process.
+// applied, so the diff record whose buffer they aliased can be released
+// along with the marker.
 type verMarkDeliver struct{}
 
 var verMarkDel verMarkDeliver
@@ -325,9 +241,9 @@ func (verMarkDeliver) Deliver(pkt *nic.Packet) {
 	vm := pkt.Payload.(*verMark)
 	vm.home.bumpVersion(vm.pg, vm.origin.ID, vm.seq)
 	if vm.d != nil {
-		vm.home.putDiff(vm.d)
+		vm.home.release(vm.d)
 	}
-	vm.home.putVerMark(vm)
+	vm.home.release(vm)
 }
 
 // noticeDeliver records an eagerly deposited write notice at pkt.Dst
@@ -346,16 +262,11 @@ func (d *grantDeliver) Deliver(pkt *nic.Packet) {
 	d.s.Nodes[pkt.Dst].receiveGrant(pkt.Payload.(*lockGrant))
 }
 
-// barFlagDeliver lands a DW barrier arrival flag at pkt.Dst. One pooled
-// record serves all Nodes-1 deposits; the last delivery frees it into
-// the pool of the node it landed on (the deliveries may run on
-// different logical processes within one round, hence the atomic).
+// barFlagDeliver lands a DW barrier arrival flag at pkt.Dst. The record
+// is the sender's arrival ring slot, read here and never freed (see
+// Node.arrival).
 type barFlagDeliver struct{ s *System }
 
 func (d *barFlagDeliver) Deliver(pkt *nic.Packet) {
-	m := pkt.Payload.(*barArriveMsg)
-	d.s.Nodes[pkt.Dst].depositBarFlag(m)
-	if atomic.AddInt32(&m.refs, -1) == 0 {
-		d.s.Nodes[pkt.Dst].putBarArr(m)
-	}
+	d.s.Nodes[pkt.Dst].depositBarFlag(pkt.Payload.(*barArriveMsg))
 }

@@ -115,9 +115,9 @@ func (s *Space) PageRange(addr, size int) (first, last int) {
 // Engines are share-nothing and single-threaded, so a plain LIFO slice
 // (rather than sync.Pool) keeps buffer reuse bit-deterministic from run
 // to run and race-free without atomics; every NodeMem owns its own pool
-// and no pool state crosses simulated runs. Buffers may migrate between
-// the pools of one simulation (a page snapshot allocated at the home is
-// released at the requester) — still within a single engine goroutine.
+// and no pool state crosses simulated runs. A buffer returns to the pool
+// it came from: a page snapshot taken from the home's pool goes back to
+// the home once the requester has installed it.
 type BufPool struct {
 	size int
 	free [][]byte

@@ -23,13 +23,16 @@ package nic
 // processor, and reliable delivery restores seq order under faults.
 //
 // Pool ownership (DESIGN §7/§10): colMsg combine buffers and the
-// deliver/host-op records are drawn from the LP-local free lists of
-// the NI that allocates them and freed by their final consumer into
-// *that consumer's* NI free list — records migrate between pools,
-// mutation stays LP-local. A retransmitted packet may still hold a
-// pointer to a freed (and even reused) colMsg, but the reliability
-// gate discards duplicates before the handler dereferences anything,
-// the same argument that covers diff/interval payloads.
+// deliver/host-op records are drawn from the free lists of the NI that
+// allocates them and always return there. A combine buffer's final
+// consumer is often another NI (the parent on the way up, the child on
+// the way down), so it hands the buffer back with Engine.DeferFlush:
+// inline in a serial run, at the round barrier in a parallel one, so
+// no NI mutates another LP's free list mid-round. A retransmitted
+// packet may still hold a pointer to a released (and even reused)
+// colMsg, but the reliability gate discards duplicates before the
+// handler dereferences anything, the same argument that covers
+// diff/interval payloads.
 
 import (
 	"fmt"
@@ -48,8 +51,13 @@ type ColBarrierSink interface {
 // colMsg is a pooled NI-memory combine buffer: one version vector
 // traveling (or being accumulated) through the tree.
 type colMsg struct {
-	vec []uint64
+	owner *colState // the allocating NI's collective engine
+	vec   []uint64
 }
+
+// Run implements sim.Handler for Engine.DeferFlush: the consumed buffer
+// returns to the NI that allocated it.
+func (m *colMsg) Run(_, _ sim.Time) { m.owner.msgFree = append(m.owner.msgFree, m) }
 
 // colOp is one in-flight barrier epoch's combine state at this NI.
 // Epochs use a 4-slot ring keyed by seq&3, mirroring the host-side
@@ -127,17 +135,15 @@ func (ni *NI) colCombineService(n int) sim.Time {
 	return ni.cfg.Costs.NIColCombine + sim.Time(float64(n)*ni.cfg.Costs.NIColPerByte)
 }
 
-func (c *colState) getMsg(n int) *colMsg {
+func (c *colState) getMsg() *colMsg {
 	if l := len(c.msgFree); l > 0 {
 		m := c.msgFree[l-1]
 		c.msgFree[l-1] = nil
 		c.msgFree = c.msgFree[:l-1]
 		return m
 	}
-	return &colMsg{vec: make([]uint64, n)}
+	return &colMsg{owner: c, vec: make([]uint64, c.nodes)}
 }
-
-func (c *colState) putMsg(m *colMsg) { c.msgFree = append(c.msgFree, m) }
 
 // opAt claims (or finds) the epoch ring slot for seq.
 func (c *colState) opAt(seq int) *colOp {
@@ -163,7 +169,7 @@ func (ni *NI) ColBarrierArrive(p *sim.Proc, seq int, vc []uint64) {
 	p.Sleep(ni.cfg.Costs.PostOverhead)
 	ni.PostQueue.Acquire(p)
 	c := ni.col
-	m := c.getMsg(c.nodes)
+	m := c.getMsg()
 	copy(m.vec, vc)
 	h := c.getHostOp()
 	h.ni, h.barrier, h.release, h.seq, h.m = ni, true, true, seq, m
@@ -191,7 +197,7 @@ func (ni *NI) colContribute(seq int, vec []uint64) {
 	}
 	op.active = false
 	if c.parent >= 0 {
-		m := c.getMsg(c.nodes)
+		m := c.getMsg()
 		copy(m.vec, op.vec)
 		ni.colSendVec(c.parent, seq, "col-up", colUpFw, m)
 		return
@@ -209,13 +215,13 @@ func (ni *NI) colRelease(seq int, vec []uint64) {
 		if child < 0 {
 			break
 		}
-		m := c.getMsg(c.nodes)
+		m := c.getMsg()
 		copy(m.vec, vec)
 		ni.colSendVec(child, seq, "col-dn", colDnFw, m)
 	}
 	d := c.getDeliver()
 	d.ni, d.barrier, d.seq = ni, true, seq
-	d.m = c.getMsg(c.nodes)
+	d.m = c.getMsg()
 	copy(d.m.vec, vec)
 	ni.PCI.EnqueueHandler(ni.pciService(8*c.nodes), d)
 }
@@ -239,7 +245,7 @@ func (ni *NI) colSendVec(dst, seq int, kind string, fw func(*NI, *Packet), m *co
 func colUpFw(dst *NI, pkt *Packet) {
 	m := pkt.Payload.(*colMsg)
 	dst.colContribute(pkt.Meta, m.vec)
-	dst.col.putMsg(m)
+	dst.eng.DeferFlush(m)
 }
 
 // colDnFw receives the released vector on the way down: forward to
@@ -252,7 +258,7 @@ func colDnFw(dst *NI, pkt *Packet) {
 		if child < 0 {
 			break
 		}
-		cp := c.getMsg(c.nodes)
+		cp := c.getMsg()
 		copy(cp.vec, m.vec)
 		dst.colSendVec(child, pkt.Meta, "col-dn", colDnFw, cp)
 	}
@@ -375,7 +381,7 @@ func (d *colDeliver) Run(_, _ sim.Time) {
 	ni := d.ni
 	if d.barrier {
 		ni.col.sink.ColBarrierDone(ni.ID, d.seq, d.m.vec)
-		ni.col.putMsg(d.m)
+		ni.eng.DeferFlush(d.m)
 	} else if d.to != nil {
 		// Hand the payload to the protocol through a scratch packet so
 		// the Deliverer sees the same shape as a flat deposit.
@@ -433,7 +439,7 @@ func (h *colHostOp) Run(_, _ sim.Time) {
 		ni.colForward(ni.ID, h.size, h.kind, h.payload, h.to)
 	case 1:
 		ni.colContribute(h.seq, h.m.vec)
-		ni.col.putMsg(h.m)
+		ni.eng.DeferFlush(h.m)
 	}
 	*h = colHostOp{}
 	ni.col.hostFree = append(ni.col.hostFree, h)

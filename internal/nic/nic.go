@@ -66,11 +66,11 @@ var stageNames = [...]string{"SourceLat", "LANaiLat", "NetLat", "DestLat"}
 // String names the stage.
 func (s Stage) String() string { return stageNames[s] }
 
-// Deliverer is the typed counterpart of Packet.OnDeliver: a shared
-// (usually singleton) delivery dispatcher invoked with the packet still
-// in hand, so Dst/Src/Meta/Payload can parameterize one handler object
-// instead of a per-send closure. Runs in engine context at the moment
-// the packet's data lands in destination host memory.
+// Deliverer is a shared (usually singleton) delivery dispatcher invoked
+// with the packet still in hand, so Dst/Src/Meta/Payload can
+// parameterize one handler object instead of a per-send closure. Runs
+// in engine context at the moment the packet's data lands in
+// destination host memory.
 type Deliverer interface {
 	Deliver(pkt *Packet)
 }
@@ -95,11 +95,9 @@ type Packet struct {
 	// (e.g. scatter-gather packing from host memory).
 	FwSendExtra sim.Time
 
-	// OnDeliver runs when the packet's data has been deposited into
+	// DeliverTo runs when the packet's data has been deposited into
 	// destination host memory (remote-deposit semantics). Ignored for
-	// firmware-handled packets. DeliverTo is the closure-free variant
-	// and takes precedence when both are set.
-	OnDeliver func()
+	// firmware-handled packets.
 	DeliverTo Deliverer
 
 	// Reliable-delivery header (see reliable.go); zero when fault
@@ -310,19 +308,18 @@ func (ni *NI) launch(pkt *Packet) {
 // PostBroadcast submits one packet that the fabric replicates to every
 // node in dsts (the NI-broadcast extension, paper §5). The host pays
 // one post; each destination receives its own copy of the packet (taken
-// from the packet pool at the switch fan-out), with onDeliver(dst)
+// from the packet pool at the switch fan-out), with tmpl.DeliverTo
 // running at that copy's delivery. Broadcast packets are plain deposits
 // (no firmware handler). The NI keeps no reference to dsts after the
 // switch stage, but the caller must not mutate it while the broadcast
 // is in flight.
-func (ni *NI) PostBroadcast(p *sim.Proc, tmpl *Packet, dsts []int, onDeliver func(dst int)) {
+func (ni *NI) PostBroadcast(p *sim.Proc, tmpl *Packet, dsts []int) {
 	p.Sleep(ni.cfg.Costs.PostOverhead)
 	ni.PostQueue.Acquire(p)
 	tmpl.tPost = ni.eng.Now()
 	t := ni.newTransit(tmpl)
 	t.holdsSlot = true
 	t.dsts = dsts
-	t.bcastDeliver = onDeliver
 	t.start()
 }
 

@@ -40,12 +40,17 @@ func TestCalibrationPageTransfer(t *testing.T) {
 	}
 }
 
-func TestDeliveryRunsOnDeliver(t *testing.T) {
+// deliverFn adapts a func to Deliverer for test packets.
+type deliverFn func(pkt *Packet)
+
+func (f deliverFn) Deliver(pkt *Packet) { f(pkt) }
+
+func TestDeliveryRunsDeliverer(t *testing.T) {
 	eng, sys, _ := newTestSystem(t)
 	var deliveredAt sim.Time
 	eng.Go("sender", func(p *sim.Proc) {
 		pkt := &Packet{Src: 0, Dst: 1, Size: 64, Kind: "test",
-			OnDeliver: func() { deliveredAt = eng.Now() }}
+			DeliverTo: deliverFn(func(*Packet) { deliveredAt = eng.Now() })}
 		sys.NIs[0].Post(p, pkt)
 	})
 	eng.RunUntilQuiet()
@@ -69,7 +74,7 @@ func TestPerPairFIFOOrder(t *testing.T) {
 				size = 4096 // mix sizes; order must still hold per pair
 			}
 			sys.NIs[0].Post(p, &Packet{Src: 0, Dst: 1, Size: size,
-				OnDeliver: func() { order = append(order, i) }})
+				DeliverTo: deliverFn(func(*Packet) { order = append(order, i) })})
 		}
 	})
 	eng.RunUntilQuiet()
@@ -99,7 +104,7 @@ func TestFIFOProperty(t *testing.T) {
 				i := i
 				sz := int(s)%4096 + 1
 				sys.NIs[0].Post(p, &Packet{Src: 0, Dst: 2, Size: sz,
-					OnDeliver: func() { order = append(order, i) }})
+					DeliverTo: deliverFn(func(*Packet) { order = append(order, i) })})
 			}
 		})
 		eng.RunUntilQuiet()
@@ -131,7 +136,7 @@ func TestFirmwareHandledPacketSkipsHostDMA(t *testing.T) {
 				}
 			}})
 		sys.NIs[0].Post(p, &Packet{Src: 0, Dst: 1, Size: 32,
-			OnDeliver: func() { depositAt = eng.Now() }})
+			DeliverTo: deliverFn(func(*Packet) { depositAt = eng.Now() })})
 	})
 	eng.RunUntilQuiet()
 	if fwAt == 0 || depositAt == 0 {
@@ -158,7 +163,7 @@ func TestFirmwareSendSkipsPostQueue(t *testing.T) {
 	delivered := false
 	at0(eng, func() {
 		sys.NIs[2].FirmwareSend(&Packet{Src: 2, Dst: 3, Size: 16, Kind: "grant",
-			OnDeliver: func() { delivered = true }}, false)
+			DeliverTo: deliverFn(func(*Packet) { delivered = true })}, false)
 	})
 	eng.RunUntilQuiet()
 	if !delivered {
@@ -206,7 +211,7 @@ func TestPostFromEventOverflowCounted(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			pkt := sys.NIs[0].NewPacket()
 			pkt.Src, pkt.Dst, pkt.Size, pkt.Kind = 0, 1, 64, "ctl"
-			pkt.OnDeliver = func() { delivered++ }
+			pkt.DeliverTo = deliverFn(func(*Packet) { delivered++ })
 			sys.NIs[0].PostFromEvent(pkt)
 		}
 	})
@@ -300,7 +305,8 @@ func TestBroadcastCopiesComeFromPool(t *testing.T) {
 	eng.Go("s", func(p *sim.Proc) {
 		tmpl := ni.NewPacket()
 		tmpl.Src, tmpl.Dst, tmpl.Size, tmpl.Kind = 0, -1, 128, "bcast"
-		ni.PostBroadcast(p, tmpl, []int{1, 2, 3}, func(int) { delivered++ })
+		tmpl.DeliverTo = deliverFn(func(*Packet) { delivered++ })
+		ni.PostBroadcast(p, tmpl, []int{1, 2, 3})
 	})
 	eng.RunUntilQuiet()
 	if delivered != 3 {
@@ -393,7 +399,7 @@ func TestSendPipeliningReducesLANaiOccupancy(t *testing.T) {
 		eng.Go("s", func(p *sim.Proc) {
 			for i := 0; i < 100; i++ {
 				sys.NIs[0].Post(p, &Packet{Src: 0, Dst: 1, Size: 32,
-					OnDeliver: func() { last = eng.Now() }})
+					DeliverTo: deliverFn(func(*Packet) { last = eng.Now() })})
 			}
 		})
 		eng.RunUntilQuiet()

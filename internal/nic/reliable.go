@@ -123,8 +123,7 @@ func fnvMix(h, v uint64) uint64 {
 // retxEntry is one unacked packet in the sender's retransmission
 // buffer (modeling the copy VMMC keeps in NI SRAM).
 type retxEntry struct {
-	pkt       Packet    // value snapshot at sequence-stamp time
-	bcast     func(int) // broadcast per-destination deliver, nil for unicast
+	pkt       Packet // value snapshot at sequence-stamp time
 	firstSent sim.Time
 	lastSent  sim.Time
 	attempts  int
@@ -315,7 +314,6 @@ func (r *relState) stampBroadcast(t *transit, now sim.Time) {
 		e.pkt.Ack = f.recvd
 		r.notePiggyback(f)
 		e.pkt.Csum = relChecksum(&e.pkt)
-		e.bcast = t.bcastDeliver
 		e.firstSent, e.lastSent = now, now
 		e.attempts = 1
 		r.addPending(f, e, now)
@@ -374,7 +372,6 @@ func (r *relState) retxFire(peer int, now sim.Time) {
 		cp.tPost, cp.tSrc = now, now
 		cp.tInject, cp.tArrive, cp.tDone = 0, 0, 0
 		td := ni.newTransit(cp)
-		td.bcastDeliver = e.bcast
 		td.startAtFirmware()
 	}
 	f.rto *= 2

@@ -28,10 +28,10 @@ func sendBurst(eng *sim.Engine, sys *System, n, size int) (counts []int, order [
 			i := i
 			pkt := sys.NIs[0].NewPacket()
 			pkt.Src, pkt.Dst, pkt.Size, pkt.Kind, pkt.Meta = 0, 1, size, "burst", i
-			pkt.OnDeliver = func() {
+			pkt.DeliverTo = deliverFn(func(*Packet) {
 				counts[i]++
 				*orderPtr = append(*orderPtr, i)
-			}
+			})
 			sys.NIs[0].Post(p, pkt)
 		}
 	})
@@ -110,10 +110,11 @@ func TestBroadcastFanOutUnderDownedLink(t *testing.T) {
 	eng.Go("caster", func(p *sim.Proc) {
 		tmpl := sys.NIs[0].NewPacket()
 		tmpl.Src, tmpl.Size, tmpl.Kind = 0, 1024, "bcast"
-		sys.NIs[0].PostBroadcast(p, tmpl, []int{1, 2, 3}, func(dst int) {
-			got[dst]++
+		tmpl.DeliverTo = deliverFn(func(pkt *Packet) {
+			got[pkt.Dst]++
 			lastAt = eng.Now()
 		})
+		sys.NIs[0].PostBroadcast(p, tmpl, []int{1, 2, 3})
 	})
 	eng.RunUntilQuiet()
 	for _, dst := range []int{1, 2, 3} {

@@ -46,9 +46,8 @@ type transit struct {
 	eng  *sim.Engine
 	pool *pktPool
 
-	// Broadcast template state (nil/zero on unicast and per-dst copies).
-	dsts         []int
-	bcastDeliver func(dst int)
+	// Broadcast template destinations (nil on unicast and per-dst copies).
+	dsts []int
 
 	// Broadcast retransmission entries, parallel to dsts, filled at
 	// sequence-stamp time when reliable delivery is on (reliable.go).
@@ -204,12 +203,8 @@ func (t *transit) Run(_, end sim.Time) {
 		dst := t.ni.peers[pkt.Dst]
 		pkt.tDone = end
 		dst.mon.record(dst, pkt)
-		if t.bcastDeliver != nil {
-			t.bcastDeliver(pkt.Dst)
-		} else if pkt.DeliverTo != nil {
+		if pkt.DeliverTo != nil {
 			pkt.DeliverTo.Deliver(pkt)
-		} else if pkt.OnDeliver != nil {
-			pkt.OnDeliver()
 		}
 		t.recycle()
 	}
@@ -251,14 +246,13 @@ func (t *transit) dupArrival() {
 	cp.Payload = pkt.Payload
 	cp.Meta, cp.Meta2 = pkt.Meta, pkt.Meta2
 	cp.FwHandler, cp.FwService = pkt.FwHandler, pkt.FwService
-	cp.DeliverTo, cp.OnDeliver = pkt.DeliverTo, pkt.OnDeliver
+	cp.DeliverTo = pkt.DeliverTo
 	cp.Seq, cp.Ack, cp.Csum, cp.RelFlags = pkt.Seq, pkt.Ack, pkt.Csum, pkt.RelFlags
 	cp.tPost, cp.tSrc, cp.tInject = pkt.tPost, pkt.tSrc, pkt.tInject
 	td := t.pool.getTransit()
 	td.ni = t.ni
 	td.pkt = cp
 	td.stage = stInLink
-	td.bcastDeliver = t.bcastDeliver
 	td.eng, td.pool = t.eng, t.pool
 	t.ni.fabric.In[pkt.Dst].TransferHandler(cp.Size, td)
 }
@@ -291,7 +285,6 @@ func (t *transit) fanOut() {
 		td := t.pool.getTransit()
 		td.ni = t.ni
 		td.pkt = cp
-		td.bcastDeliver = t.bcastDeliver
 		td.eng, td.pool = t.eng, t.pool
 		if route := t.ni.fabric.Route(tmpl.Src, dst); len(route) > 1 {
 			td.stage = stSwitch
@@ -339,7 +332,6 @@ func (t *transit) parFanOut(fl *fabLP) {
 		td.ni = t.ni
 		td.pkt = cp
 		td.stage = stSwitch
-		td.bcastDeliver = t.bcastDeliver
 		td.route = t.ni.fabric.Route(tmpl.Src, dst)
 		td.hop = 0
 		if len(td.route) > 1 {

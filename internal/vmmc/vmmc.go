@@ -88,8 +88,7 @@ type Layer struct {
 	sys *nic.System
 	eps []*Endpoint
 
-	// intrDel is the shared deliverer for every interrupt-class packet
-	// (replaces a per-send OnDeliver closure).
+	// intrDel is the shared deliverer for every interrupt-class packet.
 	intrDel interruptDeliver
 
 	// NI-lock firmware handlers, bound once here so posting a lock
@@ -227,7 +226,7 @@ func (ep *Endpoint) DepositBroadcastTo(p *sim.Proc, size int, label string, payl
 	tmpl.Src, tmpl.Dst, tmpl.Size, tmpl.Kind = ep.Node, -1, size, label
 	tmpl.Payload = payload
 	tmpl.DeliverTo = to
-	ep.ni.PostBroadcast(p, tmpl, ep.bcastDsts, nil)
+	ep.ni.PostBroadcast(p, tmpl, ep.bcastDsts)
 }
 
 // buildBcastDsts lazily builds the everyone-but-self destination set

@@ -75,7 +75,12 @@ type FaultsJSON struct {
 	MaxRecoveryNs    int64  `json:"max_recovery_ns"`
 }
 
-// UtilJSON mirrors Utilization (busy fractions in [0,1]).
+// UtilJSON mirrors Utilization. Firmware, PCI, Link and Switch are
+// the busy fractions, in [0,1], of the single busiest device of that
+// class (NI processor, host I/O bus, link direction, fabric switch).
+// SwitchStageNs is each fabric stage's busy time summed over all of the
+// stage's switches, so on a multi-switch stage it can exceed the
+// elapsed time.
 type UtilJSON struct {
 	Firmware      float64 `json:"firmware"`
 	PCI           float64 `json:"pci"`
