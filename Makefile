@@ -32,10 +32,13 @@ race:
 race-intrarun:
 	$(GO) test -race -short -run 'TestIntraRun' -count=1 .
 
-# fuzz runs the native fuzz targets briefly past their seed corpora
-# (testdata/fuzz); plain `go test` already replays the corpora.
+# fuzz runs each native fuzz target briefly past its seed corpus
+# (f.Add seeds plus testdata/fuzz); plain `go test` already replays the
+# corpora. go test fuzzes one target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDiffApplyRoundTrip$$' -fuzztime 10s ./internal/memory
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 10s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz '^FuzzLatencyMergeQuantile$$' -fuzztime 10s ./internal/stats
 
 # smoke-faults exercises the fault-injection + NI reliable-delivery
 # recovery path end to end: one short app at a 1% drop rate (with dups,

@@ -71,11 +71,11 @@ type State struct {
 	ModeShards  int
 
 	// Cut point.
-	TraceEvents uint64   // trace events emitted before the cut
-	SimTime     int64    // virtual clock at the cut
-	Events      uint64   // engine events executed at the cut
-	StateDigest uint64   // sim/nic/core/memory/faults live-state digest
-	HashState   []byte   // SHA-256 midstate of the canonical trace prefix
+	TraceEvents uint64 // trace events emitted before the cut
+	SimTime     int64  // virtual clock at the cut
+	Events      uint64 // engine events executed at the cut
+	StateDigest uint64 // sim/nic/core/memory/faults live-state digest
+	HashState   []byte // SHA-256 midstate of the canonical trace prefix
 
 	// Soak-mode cursor (zero outside soak runs).
 	SoakIter   uint64   // completed soak iterations
@@ -102,16 +102,7 @@ func ConfigSum(cfg *topo.Config) [32]byte {
 // fsync, rename. The resulting file carries a whole-file SHA-256
 // trailer that Load verifies.
 func Save(path string, st *State) error {
-	payload := st.encode()
-	head := make([]byte, 16)
-	binary.LittleEndian.PutUint32(head[0:], Magic)
-	binary.LittleEndian.PutUint32(head[4:], Version)
-	binary.LittleEndian.PutUint64(head[8:], uint64(len(payload)))
-	h := sha256.New()
-	h.Write(head)
-	h.Write(payload)
-	sum := h.Sum(nil)
-
+	raw := frame(st.encode())
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
 	if err != nil {
@@ -119,11 +110,9 @@ func Save(path string, st *State) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after a successful rename
-	for _, chunk := range [][]byte{head, payload, sum} {
-		if _, err := tmp.Write(chunk); err != nil {
-			tmp.Close()
-			return err
-		}
+	if _, err := tmp.Write(raw); err != nil {
+		tmp.Close()
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -135,12 +124,31 @@ func Save(path string, st *State) error {
 	return os.Rename(tmpName, path)
 }
 
+// frame wraps a payload in the file format: the 16-byte header (magic,
+// version, payload length), the payload, and a SHA-256 trailer over
+// both.
+func frame(payload []byte) []byte {
+	raw := make([]byte, 16, 16+len(payload)+sha256.Size)
+	binary.LittleEndian.PutUint32(raw[0:], Magic)
+	binary.LittleEndian.PutUint32(raw[4:], Version)
+	binary.LittleEndian.PutUint64(raw[8:], uint64(len(payload)))
+	raw = append(raw, payload...)
+	sum := sha256.Sum256(raw)
+	return append(raw, sum[:]...)
+}
+
 // Load reads and verifies a checkpoint file.
 func Load(path string) (*State, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return parse(raw)
+}
+
+// parse verifies a checkpoint file's header and checksum and decodes
+// its payload. Every failure wraps ErrCorrupt or ErrVersion.
+func parse(raw []byte) (*State, error) {
 	if len(raw) < 16+sha256.Size {
 		return nil, fmt.Errorf("%w: %d bytes, below minimum", ErrCorrupt, len(raw))
 	}

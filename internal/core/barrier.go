@@ -75,7 +75,8 @@ type barEpoch struct {
 	localArrived int
 	localDone    sim.Flag
 
-	// Base master aggregation (node 0 only).
+	// Base master aggregation (node 0 only; mVC is built on the first
+	// arrival the slot sees, so it stays nil on every other node).
 	mArrived int
 	mVC      []uint64
 	mIvs     []*interval
@@ -92,9 +93,7 @@ func (e *barEpoch) reset(seq int) {
 	e.localArrived = 0
 	e.localDone.Reset()
 	e.mArrived = 0
-	for i := range e.mVC {
-		e.mVC[i] = 0
-	}
+	clear(e.mVC)
 	e.mIvs = e.mIvs[:0]
 }
 

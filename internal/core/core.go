@@ -221,8 +221,13 @@ type Node struct {
 	homeWaitQ []sim.WaitQ // per page homed here: accessors waiting on version
 
 	vc      []uint64      // applied interval seq per source node
-	arrived []sim.Counter // deposited notice count per source node
+	arrived []uint64      // deposited notice count per source node
 	log     [][]*interval // received intervals per source, indexed seq-1
+
+	// noticeWaits holds the processors parked in waitNotices, each
+	// with the source whose count it waits on, in parking order (see
+	// depositNotice). At most one entry per processor of the node.
+	noticeWaits []noticeWait
 
 	need       vecTable // per page: required home version per writer node
 	copyVer    vecTable // per page: home version row at fetch time
@@ -292,7 +297,7 @@ func newNode(s *System, id int) *Node {
 		ID:          id,
 		eng:         s.Eng.LPNode(id),
 		ep:          s.Layer.Endpoint(id),
-		arrived:     make([]sim.Counter, s.Cfg.Nodes),
+		arrived:     make([]uint64, s.Cfg.Nodes),
 		log:         make([][]*interval, s.Cfg.Nodes),
 		ivGate:      sim.NewGate(1),
 		pendingReqs: map[int][]pendingPage{},
@@ -301,10 +306,11 @@ func newNode(s *System, id int) *Node {
 		steal:       make([]sim.Time, s.Cfg.ProcsPerNode),
 	}
 	// One backing array serves the node vector clock and the barrier
-	// epochs' vectors (nine fixed-size vectors; full slice caps keep
-	// them from spilling into each other).
+	// epochs' vectors (five fixed-size vectors; full slice caps keep
+	// them from spilling into each other). The master's aggregation
+	// vectors are built on first arrival (see handleBarArrive).
 	nn := s.Cfg.Nodes
-	vecs := make([]uint64, (1+2*len(n.barEpochs))*nn)
+	vecs := make([]uint64, (1+len(n.barEpochs))*nn)
 	cut := func() []uint64 {
 		v := vecs[:nn:nn]
 		vecs = vecs[nn:]
@@ -314,7 +320,6 @@ func newNode(s *System, id int) *Node {
 	for i := range n.barEpochs {
 		n.barEpochs[i].seq = -1
 		n.barEpochs[i].vc = cut()
-		n.barEpochs[i].mVC = cut()
 	}
 	n.ep.Perturb = n.perturb
 	n.ep.Sink = &n.mb

@@ -275,18 +275,39 @@ func (n *Node) broadcastNotice(p *sim.Proc, iv *interval) {
 func (n *Node) depositNotice(iv *interval) {
 	n.recordInterval(iv)
 	// Per-pair FIFO delivery means notices from one source arrive in
-	// seq order, so the arrival counter equals the highest arrived seq.
-	n.arrived[iv.Src].Add(1)
+	// seq order, so the arrival count equals the highest arrived seq.
+	src := iv.Src
+	n.arrived[src]++
+	// Wake every processor waiting on this source, in the order they
+	// parked; each re-checks its own target when it resumes. Waiters
+	// on other sources keep their places.
+	ws := n.noticeWaits[:0]
+	for _, w := range n.noticeWaits {
+		if w.src == src {
+			w.p.Unpark()
+		} else {
+			ws = append(ws, w)
+		}
+	}
+	clear(n.noticeWaits[len(ws):])
+	n.noticeWaits = ws
+}
+
+// noticeWait is a processor parked until source src deposits another
+// write notice.
+type noticeWait struct {
+	src int
+	p   *sim.Proc
 }
 
 // waitNotices blocks until every source's notices up to target have
 // been deposited locally (the protocol "flags" of §2).
 func (n *Node) waitNotices(p *sim.Proc, target []uint64) {
 	for src, want := range target {
-		if src == n.ID {
-			continue
+		for src != n.ID && n.arrived[src] < want {
+			n.noticeWaits = append(n.noticeWaits, noticeWait{src, p})
+			p.Park()
 		}
-		n.arrived[src].WaitFor(p, want)
 	}
 }
 

@@ -37,8 +37,8 @@ func (n *Node) digestInto(d *sim.Digest) {
 	for _, v := range n.vc {
 		d.U64(v)
 	}
-	for i := range n.arrived {
-		d.U64(n.arrived[i].Value())
+	for i, c := range n.arrived {
+		d.U64(c)
 		d.U64(uint64(len(n.log[i])))
 	}
 	n.need.digestInto(d)
@@ -114,7 +114,13 @@ func (n *Node) digestInto(d *sim.Digest) {
 		d.U64(uint64(e.localArrived))
 		d.Bool(e.localDone.IsSet())
 		d.U64(uint64(e.mArrived))
-		for _, v := range e.mVC {
+		// A slot with no master aggregation folds as the zeros a
+		// dense vector would hold.
+		for i := range n.vc {
+			var v uint64
+			if e.mVC != nil {
+				v = e.mVC[i]
+			}
 			d.U64(v)
 		}
 		d.U64(uint64(len(e.mIvs)))

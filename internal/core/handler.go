@@ -143,6 +143,9 @@ func (n *Node) handleBarArrive(p *sim.Proc, m *barArriveMsg) {
 	e := n.barEpochAt(m.seq)
 	seq := m.seq
 	e.mArrived++
+	if e.mVC == nil {
+		e.mVC = make([]uint64, n.sys.Cfg.Nodes)
+	}
 	vecMergeMax(e.mVC, m.vc)
 	e.mIvs = append(e.mIvs, m.intervals...)
 	if e.mArrived < n.sys.Cfg.Nodes {

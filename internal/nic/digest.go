@@ -42,8 +42,10 @@ func (ni *NI) digestInto(d *sim.Digest) {
 
 func (r *relState) digestInto(d *sim.Digest) {
 	d.U64(uint64(len(r.flows)))
-	for i := range r.flows {
-		f := &r.flows[i]
+	for _, f := range r.flows {
+		if f == nil {
+			f = &zeroFlow
+		}
 		d.U64(f.nextSeq)
 		d.I64(f.rto)
 		d.I64(f.srtt)
@@ -66,6 +68,11 @@ func (r *relState) digestInto(d *sim.Digest) {
 	d.U64(uint64(len(r.entFree)))
 	r.Report.DigestInto(d)
 }
+
+// zeroFlow is what a never-used peer's flow folds as: the zero state
+// the dense per-peer table held, so digests (and checkpoint files)
+// do not depend on which flows have been built.
+var zeroFlow relFlow
 
 func (c *colState) digestInto(d *sim.Digest) {
 	for i := range c.ops {

@@ -123,8 +123,8 @@ func (l *LatencyRecorder) Quantile(q float64) sim.Time {
 		seen += c
 		if seen >= rank {
 			u := latBucketUpper(i)
-			if u > l.max {
-				u = l.max
+			if u > l.max || i == latBuckets-1 {
+				u = l.max // the catch-all bucket has no finite upper bound
 			}
 			return u
 		}

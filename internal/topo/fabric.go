@@ -73,20 +73,23 @@ type FabricDesc struct {
 	// SwitchStage maps a switch id to its stage (0 = leaf/edge).
 	SwitchStage []int8
 
-	// Flat route storage: route (src, dst) occupies
-	// hops[(src*nodes+dst)*maxHops : ... + routeLen], switch ids in
-	// traversal order.
-	nodes   int
-	maxHops int
-	hops    []int16
-	lens    []int8
+	// Flat route storage. A route depends on its source host only
+	// through the switch the host is attached to, so the table holds one
+	// row per first-hop switch, not per host: route (src, dst) occupies
+	// hops[(src/perSwitch*nodes+dst)*maxHops : ... + routeLen], switch
+	// ids in traversal order.
+	nodes     int
+	perSwitch int // hosts per first-hop switch
+	maxHops   int
+	hops      []int16
+	lens      []int8
 }
 
 // Route returns the switch ids a packet from src to dst traverses, in
 // order. The slice aliases the compiled table; callers must not
 // mutate it.
 func (d *FabricDesc) Route(src, dst int) []int16 {
-	i := src*d.nodes + dst
+	i := src/d.perSwitch*d.nodes + dst
 	off := i * d.maxHops
 	return d.hops[off : off+int(d.lens[i])]
 }
@@ -97,7 +100,7 @@ func (d *FabricDesc) MaxHops() int { return d.maxHops }
 // FirstSwitch returns the leaf/edge switch a packet from src enters
 // first (the fan-out point for NI broadcasts).
 func (d *FabricDesc) FirstSwitch(src int) int16 {
-	return d.hops[(src*d.nodes+src)*d.maxHops]
+	return d.hops[(src/d.perSwitch*d.nodes+src)*d.maxHops]
 }
 
 // Fabric compiles the configured topology into a switch inventory and
@@ -113,31 +116,35 @@ func (c *Config) Fabric() *FabricDesc {
 	}
 }
 
-func newDesc(kind TopoKind, nodes, nSwitches, nStages, maxHops int) *FabricDesc {
+// newDesc sizes a fabric whose hosts attach perSwitch to a first-hop
+// switch (switch ids 0..firsts-1, host h on switch h/perSwitch).
+func newDesc(kind TopoKind, nodes, perSwitch, nSwitches, nStages, maxHops int) *FabricDesc {
+	firsts := (nodes + perSwitch - 1) / perSwitch
 	return &FabricDesc{
 		Kind:        kind,
 		NumSwitches: nSwitches,
 		NumStages:   nStages,
 		SwitchStage: make([]int8, nSwitches),
 		nodes:       nodes,
+		perSwitch:   perSwitch,
 		maxHops:     maxHops,
-		hops:        make([]int16, nodes*nodes*maxHops),
-		lens:        make([]int8, nodes*nodes),
+		hops:        make([]int16, firsts*nodes*maxHops),
+		lens:        make([]int8, firsts*nodes),
 	}
 }
 
-func (d *FabricDesc) setRoute(src, dst int, hops ...int16) {
-	i := src*d.nodes + dst
+// setRoute records the route to dst from every host on first-hop
+// switch sw.
+func (d *FabricDesc) setRoute(sw, dst int, hops ...int16) {
+	i := sw*d.nodes + dst
 	d.lens[i] = int8(len(hops))
 	copy(d.hops[i*d.maxHops:], hops)
 }
 
 func buildXbar(nodes int) *FabricDesc {
-	d := newDesc(TopoXbar, nodes, 1, 1, 1)
-	for s := 0; s < nodes; s++ {
-		for t := 0; t < nodes; t++ {
-			d.setRoute(s, t, 0)
-		}
+	d := newDesc(TopoXbar, nodes, nodes, 1, 1, 1)
+	for t := 0; t < nodes; t++ {
+		d.setRoute(0, t, 0)
 	}
 	return d
 }
@@ -149,19 +156,18 @@ func buildClos2(nodes, radix int) *FabricDesc {
 	hpl := radix / 2 // hosts per leaf
 	nLeaves := (nodes + hpl - 1) / hpl
 	nSpines := radix / 2
-	d := newDesc(TopoClos2, nodes, nLeaves+nSpines, 2, 3)
+	d := newDesc(TopoClos2, nodes, hpl, nLeaves+nSpines, 2, 3)
 	for sw := nLeaves; sw < nLeaves+nSpines; sw++ {
 		d.SwitchStage[sw] = 1
 	}
-	for s := 0; s < nodes; s++ {
-		ls := s / hpl
+	for ls := 0; ls < nLeaves; ls++ {
 		for t := 0; t < nodes; t++ {
 			lt := t / hpl
 			if ls == lt {
-				d.setRoute(s, t, int16(ls))
+				d.setRoute(ls, t, int16(ls))
 				continue
 			}
-			d.setRoute(s, t, int16(ls), int16(nLeaves+t%nSpines), int16(lt))
+			d.setRoute(ls, t, int16(ls), int16(nLeaves+t%nSpines), int16(lt))
 		}
 	}
 	return d
@@ -179,7 +185,7 @@ func buildFatTree(nodes, radix int) *FabricDesc {
 	nPods := (nEdges + p - 1) / p
 	nAggs := nPods * p
 	nCores := p * p
-	d := newDesc(TopoFatTree, nodes, nEdges+nAggs+nCores, 3, 5)
+	d := newDesc(TopoFatTree, nodes, h, nEdges+nAggs+nCores, 3, 5)
 	agg := func(pod, j int) int16 { return int16(nEdges + pod*p + j) }
 	core := func(group, j int) int16 { return int16(nEdges + nAggs + group*p + j) }
 	for sw := nEdges; sw < nEdges+nAggs; sw++ {
@@ -188,20 +194,19 @@ func buildFatTree(nodes, radix int) *FabricDesc {
 	for sw := nEdges + nAggs; sw < d.NumSwitches; sw++ {
 		d.SwitchStage[sw] = 2
 	}
-	for s := 0; s < nodes; s++ {
-		es := s / h
+	for es := 0; es < nEdges; es++ {
 		podS := es / p
 		for t := 0; t < nodes; t++ {
 			et := t / h
 			podT := et / p
 			switch {
 			case es == et:
-				d.setRoute(s, t, int16(es))
+				d.setRoute(es, t, int16(es))
 			case podS == podT:
-				d.setRoute(s, t, int16(es), agg(podS, t%p), int16(et))
+				d.setRoute(es, t, int16(es), agg(podS, t%p), int16(et))
 			default:
 				a := t % p
-				d.setRoute(s, t,
+				d.setRoute(es, t,
 					int16(es), agg(podS, a), core(a, t/h%p), agg(podT, a), int16(et))
 			}
 		}
