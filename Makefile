@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-intrarun fuzz smoke-faults smoke-scale smoke-soak smoke-serve bench-smoke bench-json bench-mem bench-guard
+.PHONY: check build vet test race fuzz smoke-faults smoke-scale smoke-soak smoke-serve bench-smoke bench-json bench-mem bench-guard
 
-check: build vet test race race-intrarun fuzz smoke-faults smoke-scale smoke-soak smoke-serve
+check: build vet test race fuzz smoke-faults smoke-scale smoke-soak smoke-serve
 
 build:
 	$(GO) build ./...
@@ -17,20 +17,12 @@ vet:
 test:
 	$(GO) test ./...
 
-# race runs every test, none skipped, under the race detector. The
-# 512-node leg of TestIntraRunScaleTraceByteIdentical alone takes about
-# 10 minutes under -race on a 2-CPU box, past go test's default
-# 10-minute per-package timeout, so the target sets its own.
+# race runs every test, none skipped, under the race detector. It takes
+# about 1m40s on a 2-CPU box (about 1 minute of it the root package,
+# whose 512-node golden points are the slowest tests). The 40-minute
+# timeout is headroom for slower or busier machines.
 race:
 	$(GO) test -race -timeout 40m ./...
-
-# race-intrarun runs the intra-run parallel-simulation determinism
-# tests (byte-identical traces across -jrun and -lpshards combinations,
-# with and without faults) under the race detector, at test scale.
-# -short keeps the 512-node leg out of the race budget; the 128-node
-# sharded matrix still runs, so sharded clusters are race-checked.
-race-intrarun:
-	$(GO) test -race -short -run 'TestIntraRun' -count=1 .
 
 # fuzz runs each native fuzz target briefly past its seed corpus
 # (f.Add seeds plus testdata/fuzz); plain `go test` already replays the
@@ -39,6 +31,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDiffApplyRoundTrip$$' -fuzztime 10s ./internal/memory
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzLatencyMergeQuantile$$' -fuzztime 10s ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime 10s ./internal/topo
 
 # smoke-faults exercises the fault-injection + NI reliable-delivery
 # recovery path end to end: one short app at a 1% drop rate (with dups,
@@ -51,19 +44,18 @@ smoke-faults:
 # smoke-scale exercises the multi-stage fabrics end to end: one short
 # app on a radix-32 clos2 under Base (interrupt barrier, flat) and
 # GeNIMA (NI collective tree) at 64 nodes, plus a 128-node radix-16
-# clos2 leg under explicit LP sharding (-jrun 4 -lpshards 4) — all
-# intra-run parallel, with 1% faults, validated against the sequential
-# reference.
+# clos2 GeNIMA leg — all with 1% faults, validated against the
+# sequential reference.
 smoke-scale:
 	$(GO) run ./cmd/genima-run -app barrierbench -scale test -proto Base \
-		-nodes 64 -procs 1 -topo clos2 -radix 32 -jrun 4 \
+		-nodes 64 -procs 1 -topo clos2 -radix 32 \
 		-faults 0.01 -fault-seed 42 > /dev/null
 	$(GO) run ./cmd/genima-run -app barrierbench -scale test -proto GeNIMA \
-		-nodes 64 -procs 1 -topo clos2 -radix 32 -collectives -jrun 4 \
+		-nodes 64 -procs 1 -topo clos2 -radix 32 -collectives \
 		-faults 0.01 -fault-seed 42 > /dev/null
 	$(GO) run ./cmd/genima-run -app barrierbench -scale test -proto GeNIMA \
 		-nodes 128 -procs 1 -topo clos2 -radix 16 -collectives \
-		-jrun 4 -lpshards 4 -faults 0.01 -fault-seed 42 > /dev/null
+		-faults 0.01 -fault-seed 42 > /dev/null
 
 # smoke-soak exercises soak-scale long-run ops end to end, asserting
 # checkpoint/restore determinism from the shell like an operator would:
@@ -115,31 +107,26 @@ smoke-soak:
 # smoke-serve exercises the svmkv open-loop serving workload end to
 # end at test scale on two protocol rungs (interrupt-driven Base and
 # synchronous-NI GeNIMA, the latter under 1% faults), each validated
-# against the sequential reference, asserting the canonical trace hash
-# is byte-identical between serial (-jrun 1) and parallel (-jrun 4)
-# simulation — the core determinism invariant on the serving path.
+# against the sequential reference. Each rung runs twice and the two
+# canonical trace hashes must be byte-identical: repeated runs of the
+# serving path are deterministic.
 SERVETMP := /tmp/genima-smoke-serve
 smoke-serve:
 	rm -rf $(SERVETMP) && mkdir -p $(SERVETMP)
 	$(GO) build -o $(SERVETMP)/genima-run ./cmd/genima-run
-	$(SERVETMP)/genima-run -app svmkv -scale test -proto Base -jrun 1 \
-		-trace-hash | grep -o 'trace-hash=[0-9a-f]*' > $(SERVETMP)/base.j1
-	$(SERVETMP)/genima-run -app svmkv -scale test -proto Base -jrun 4 \
-		-trace-hash | grep -o 'trace-hash=[0-9a-f]*' > $(SERVETMP)/base.j4
-	cmp $(SERVETMP)/base.j1 $(SERVETMP)/base.j4
-	$(SERVETMP)/genima-run -app svmkv -scale test -proto GeNIMA -jrun 1 \
-		-faults 0.01 -fault-seed 42 -trace-hash \
-		| grep -o 'trace-hash=[0-9a-f]*' > $(SERVETMP)/genima.j1
-	$(SERVETMP)/genima-run -app svmkv -scale test -proto GeNIMA -jrun 4 \
-		-faults 0.01 -fault-seed 42 -trace-hash \
-		| grep -o 'trace-hash=[0-9a-f]*' > $(SERVETMP)/genima.j4
-	cmp $(SERVETMP)/genima.j1 $(SERVETMP)/genima.j4
+	for i in 1 2; do \
+		$(SERVETMP)/genima-run -app svmkv -scale test -proto Base \
+			-trace-hash | grep -o 'trace-hash=[0-9a-f]*' > $(SERVETMP)/base.$$i || exit 1; \
+		$(SERVETMP)/genima-run -app svmkv -scale test -proto GeNIMA \
+			-faults 0.01 -fault-seed 42 -trace-hash \
+			| grep -o 'trace-hash=[0-9a-f]*' > $(SERVETMP)/genima.$$i || exit 1; \
+	done
+	cmp $(SERVETMP)/base.1 $(SERVETMP)/base.2
+	cmp $(SERVETMP)/genima.1 $(SERVETMP)/genima.2
 	rm -rf $(SERVETMP)
 
 # bench-smoke runs every micro- and suite-benchmark once — a fast "do
-# the benchmarks still build and run" gate, not a measurement. The
-# ./internal/sim pass includes BenchmarkCrossLPHandoff, the cross-LP
-# handoff cost of the conservative-parallel engine.
+# the benchmarks still build and run" gate, not a measurement.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim ./internal/memory ./internal/vmmc
 	$(GO) test -run xxx -bench 'Suite|CollectiveBarrier' -benchtime 1x .

@@ -2,11 +2,14 @@ package genima_test
 
 // Checkpoint/restore acceptance: a run halted at a cut and restored
 // from its checkpoint must finish with a trace hash byte-identical to
-// an uninterrupted run — on the serial engine and under intra-run
-// parallel modes, with fault injection on and off, including a link
-// down-window spanning the cut.
+// an uninterrupted run, with fault injection on and off, including a
+// link down-window spanning the cut.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -69,75 +72,25 @@ func ckptCutAndResume(t *testing.T, cfg genima.Config, proto genima.Protocol, ap
 }
 
 func TestCheckpointRestoreByteIdentical(t *testing.T) {
-	modes := []struct {
-		name            string
-		workers, shards int
-	}{
-		{"serial", 1, 0},
-		{"w2s1", 2, 1},
-		{"w4s2", 4, 2},
-	}
 	for _, faulted := range []bool{false, true} {
-		for _, m := range modes {
-			name := m.name
-			if faulted {
-				name += "_faults"
-			}
-			t.Run(name, func(t *testing.T) {
-				cfg := genima.DefaultConfig()
-				cfg.IntraRunWorkers = m.workers
-				cfg.LPShards = m.shards
-				if faulted {
-					cfg.Faults = genima.FaultMix(0.02, 7)
-				}
-				want := ckptFull(t, cfg, genima.GeNIMA, "fft")
-				cut, got := ckptCutAndResume(t, cfg, genima.GeNIMA, "fft", 2)
-				if cut == 0 {
-					t.Fatal("cut at trace event 0")
-				}
-				if got != want {
-					t.Errorf("restored-at-%d hash %s != uninterrupted %s", cut, got, want)
-				}
-			})
+		name := "serial"
+		if faulted {
+			name += "_faults"
 		}
-	}
-}
-
-// A checkpoint taken under one execution mode restores under another:
-// the trace stream is mode-independent, so only the state-digest check
-// is skipped (it is gated on SameMode), never the trace verification.
-func TestCheckpointRestoreAcrossModes(t *testing.T) {
-	serial := genima.DefaultConfig()
-	want := ckptFull(t, serial, genima.GeNIMA, "fft")
-
-	a, _ := appByName(t, "fft")
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	boundaries := 0
-	cr, err := genima.RunCheckpointed(serial, genima.GeNIMA, a, genima.CheckpointOptions{
-		Path: path, Every: 50, App: "fft", Scale: "test",
-		ShouldStop: func() bool { boundaries++; return boundaries >= 2 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cr.Interrupted {
-		t.Fatal("run finished before the stop boundary")
-	}
-	st, err := genima.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := serial
-	par.IntraRunWorkers = 4
-	par.LPShards = 2
-	res, err := genima.RunCheckpointed(par, genima.GeNIMA, a, genima.CheckpointOptions{
-		App: "fft", Scale: "test", Every: 50, Restore: st,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TraceHash != want {
-		t.Errorf("serial checkpoint restored under w4s2: hash %s != %s", res.TraceHash, want)
+		t.Run(name, func(t *testing.T) {
+			cfg := genima.DefaultConfig()
+			if faulted {
+				cfg.Faults = genima.FaultMix(0.02, 7)
+			}
+			want := ckptFull(t, cfg, genima.GeNIMA, "fft")
+			cut, got := ckptCutAndResume(t, cfg, genima.GeNIMA, "fft", 2)
+			if cut == 0 {
+				t.Fatal("cut at trace event 0")
+			}
+			if got != want {
+				t.Errorf("restored-at-%d hash %s != uninterrupted %s", cut, got, want)
+			}
+		})
 	}
 }
 
@@ -162,7 +115,10 @@ func TestCheckpointRestoreAcrossDownWindow(t *testing.T) {
 	}
 }
 
-// Restoring against the wrong run identity must be rejected up front.
+// Restoring against the wrong run identity must be rejected up front,
+// a checkpoint whose state digest the replay does not reproduce must be
+// rejected at the cut, and a file in the retired v1 format must not
+// load at all.
 func TestCheckpointRestoreRejectsMismatch(t *testing.T) {
 	cfg := genima.DefaultConfig()
 	a, _ := appByName(t, "fft")
@@ -179,30 +135,57 @@ func TestCheckpointRestoreRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mismatch := func(err error) bool { return strings.Contains(err.Error(), "mismatch") }
 	cases := []struct {
 		name string
+		ok   func(error) bool
 		run  func() error
 	}{
-		{"app", func() error {
+		{"app", mismatch, func() error {
 			lu, _ := appByName(t, "lu")
 			_, err := genima.RunCheckpointed(cfg, genima.GeNIMA, lu, genima.CheckpointOptions{App: "lu", Scale: "test", Restore: st})
 			return err
 		}},
-		{"proto", func() error {
+		{"proto", mismatch, func() error {
 			_, err := genima.RunCheckpointed(cfg, genima.Base, a, genima.CheckpointOptions{App: "fft", Scale: "test", Restore: st})
 			return err
 		}},
-		{"config", func() error {
+		{"config", mismatch, func() error {
 			other := cfg
 			other.Nodes = 8
 			_, err := genima.RunCheckpointed(other, genima.GeNIMA, a, genima.CheckpointOptions{App: "fft", Scale: "test", Restore: st})
+			return err
+		}},
+		{"state digest", func(err error) bool {
+			return strings.Contains(err.Error(), "live-state digest mismatch")
+		}, func() error {
+			tampered := *st
+			tampered.StateDigest ^= 1
+			_, err := genima.RunCheckpointed(cfg, genima.GeNIMA, a, genima.CheckpointOptions{App: "fft", Scale: "test", Restore: &tampered})
+			return err
+		}},
+		{"v1 format", func(err error) bool { return errors.Is(err, genima.ErrCheckpointVersion) }, func() error {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Reframe as v1: version word 1, trailer refreshed, so only
+			// the version check can reject it.
+			binary.LittleEndian.PutUint32(raw[4:], 1)
+			sum := sha256.Sum256(raw[:len(raw)-sha256.Size])
+			copy(raw[len(raw)-sha256.Size:], sum[:])
+			v1 := filepath.Join(t.TempDir(), "v1.ckpt")
+			if err := os.WriteFile(v1, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = genima.LoadCheckpoint(v1)
 			return err
 		}},
 	}
 	for _, c := range cases {
 		if err := c.run(); err == nil {
 			t.Errorf("%s mismatch accepted", c.name)
-		} else if !strings.Contains(err.Error(), "mismatch") {
+		} else if !c.ok(err) {
 			t.Errorf("%s: unexpected error %v", c.name, err)
 		}
 	}

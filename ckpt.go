@@ -75,8 +75,7 @@ type CheckpointedResult struct {
 // RunCheckpointed executes a workload under an SVM protocol with
 // rolling checkpoints, restore, and graceful shutdown. A run restored
 // at cut k and carried to completion produces a TraceHash byte-
-// identical to an uninterrupted run — under any (IntraRunWorkers,
-// LPShards) combination, since the trace stream is mode-independent.
+// identical to an uninterrupted run.
 func RunCheckpointed(cfg Config, p Protocol, a App, opts CheckpointOptions) (*CheckpointedResult, error) {
 	every := opts.Every
 	if every == 0 {
@@ -92,7 +91,6 @@ func RunCheckpointed(cfg Config, p Protocol, a App, opts CheckpointOptions) (*Ch
 	}
 	cr := &CheckpointedResult{}
 	var ckptErr error
-	workers, shards := runMode(&cfg)
 	write := func(b *Boundary, note string) bool {
 		snap, err := hasher.Snapshot()
 		if err == nil {
@@ -101,8 +99,6 @@ func RunCheckpointed(cfg Config, p Protocol, a App, opts CheckpointOptions) (*Ch
 				App:         opts.App,
 				Proto:       p.String(),
 				Scale:       opts.Scale,
-				ModeWorkers: workers,
-				ModeShards:  shards,
 				TraceEvents: b.TraceEvents,
 				SimTime:     int64(b.SimTime),
 				Events:      b.Events,
@@ -151,7 +147,7 @@ func RunCheckpointed(cfg Config, p Protocol, a App, opts CheckpointOptions) (*Ch
 			if !bytes.Equal(hasher.PrefixSum(), want.PrefixSum()) {
 				return fmt.Errorf("checkpoint: replay diverged from checkpointed trace prefix at event %d", st.TraceEvents)
 			}
-			if st.SameMode(workers, shards) && b.StateDigest() != st.StateDigest {
+			if b.StateDigest() != st.StateDigest {
 				return fmt.Errorf("checkpoint: live-state digest mismatch at event %d (trace prefix matches; state walk diverged)", st.TraceEvents)
 			}
 			return nil
@@ -170,15 +166,4 @@ func RunCheckpointed(cfg Config, p Protocol, a App, opts CheckpointOptions) (*Ch
 		cr.TraceHash = hasher.Final(res.Elapsed, res.Events)
 	}
 	return cr, nil
-}
-
-// runMode resolves the execution mode a config selects: the worker
-// count and the effective shard count (0 shards on the serial path,
-// which builds no cluster at all). StateDigest values are only
-// comparable between identical modes.
-func runMode(cfg *Config) (workers, shards int) {
-	if cfg.IntraRunWorkers > 1 && cfg.Nodes > 1 {
-		return cfg.IntraRunWorkers, cfg.EffectiveLPShards()
-	}
-	return 1, 0
 }

@@ -47,7 +47,6 @@ var (
 	benchGuard = flag.String("benchguard", "", "compare current serial throughput against this committed BENCH_sim.json and exit nonzero on a >25% regression")
 	faultsFlag = flag.Float64("faults", 0, "link fault injection for the main suite: packet drop rate (0,1) per FaultMix; 0 disables")
 	seedFlag   = flag.Uint64("fault-seed", 1, "deterministic seed for -faults and the faultsweep experiment")
-	lpsFlag    = flag.Int("lpshards", 0, "node shards (logical processes) for intra-run timing points; 0 = auto (min(workers, nodes))")
 
 	soakEvents    = flag.Uint64("soak-events", 100_000_000, "soak: stop once cumulative simulated events reach this total (0 = bound by -soak-iters alone)")
 	soakIters     = flag.Uint64("soak-iters", 0, "soak: iteration cap (0 = bound by -soak-events alone)")
@@ -55,7 +54,6 @@ var (
 	soakCkpt      = flag.String("soak-checkpoint", "", "soak: rolling iteration-cursor checkpoint file")
 	soakStats     = flag.String("soak-stats", "", "soak: append one JSON stats line per iteration to this file")
 	soakRestore   = flag.Bool("soak-restore", false, "soak: resume from -soak-checkpoint (fresh campaign if the file does not exist yet)")
-	soakJrun      = flag.Int("soak-jrun", 1, "soak: intra-run simulation workers per iteration (byte-identical chain for any value)")
 )
 
 func fatal(err error) {
@@ -102,11 +100,9 @@ func parseExperiments(s string) (map[string]bool, error) {
 // simulator's perf trajectory. suite_*_seconds time one full ladder
 // (all protocols + hardware + sequential) over the ten applications.
 // Inter-run parallelism (suite_parallel_seconds and friends) fans
-// independent runs across workers; intra-run parallelism
-// (events_per_sec_intrarun and friends) partitions one run into
-// per-node logical processes. Measurements that cannot be taken
-// meaningfully on this box (e.g. any parallel pass on a single-CPU
-// machine) are null, with the reason recorded in note — a null is "not
+// independent runs across workers. Measurements that cannot be taken
+// meaningfully on this box (a parallel pass on a single-CPU machine)
+// are null, with the reason recorded in note — a null is "not
 // measured", never "zero speedup".
 type benchSummary struct {
 	Generated          string  `json:"generated"`
@@ -122,11 +118,6 @@ type benchSummary struct {
 	SimEvents          uint64   `json:"sim_events"`
 	EventsPerSecSerial float64  `json:"events_per_sec_serial"`
 	EventsPerSecPar    *float64 `json:"events_per_sec_parallel"`
-	// Intra-run engine throughput on one fixed point (fft under GeNIMA)
-	// with IntraRunWorkers=workers, and its speedup over the same point
-	// serial. Null when skipped (see note).
-	EventsPerSecIntra *float64 `json:"events_per_sec_intrarun"`
-	IntraRunSpeedup   *float64 `json:"intrarun_speedup"`
 	// Allocation pressure of the serial run (runtime.ReadMemStats deltas
 	// divided by simulated events): the pooled packet pipeline's headline
 	// metric. Lower is better; the typed event path targets ~0 on the
@@ -142,17 +133,12 @@ type benchSummary struct {
 	// gates them direction-aware (an increase is the regression).
 	BarrierNsP32  *float64 `json:"barrier_ns_p32"`
 	BarrierNsP128 *float64 `json:"barrier_ns_p128"`
-	// PDES scaling points: engine throughput on barrierbench at
+	// Scaling points: engine throughput on barrierbench at
 	// ProcsPerNode=1 over large multi-stage fabrics — 128 nodes on a
 	// radix-16 clos2 with the NI collective tree (GeNIMA) and 512 nodes
 	// on a radix-16 fat tree with the flat interrupt barrier (Base).
-	// events_per_sec_pN is the serial engine (measurable on any box);
-	// intrarun_speedup_pN is the same point at IntraRunWorkers=workers
-	// and LPShards auto, over serial — null on a single-CPU box.
 	EventsPerSecP128 *float64 `json:"events_per_sec_p128"`
 	EventsPerSecP512 *float64 `json:"events_per_sec_p512"`
-	IntraSpeedupP128 *float64 `json:"intrarun_speedup_p128"`
-	IntraSpeedupP512 *float64 `json:"intrarun_speedup_p512"`
 	// Serving-workload point: the svmkv open-loop KV server at registry
 	// defaults under GeNIMA, clean links. Both are virtual-time model
 	// outputs (completed requests per simulated second; p99 request
@@ -162,8 +148,8 @@ type benchSummary struct {
 	ServeReqsPerSec *float64 `json:"serve_reqs_per_sec"`
 	ServeP99Ns      *float64 `json:"serve_p99_ns"`
 	// Note lists measurement caveats, comma-separated, e.g.
-	// "parallel_skipped_single_cpu" or "intrarun_skipped_single_cpu"
-	// when the box cannot run a meaningful parallel pass.
+	// "parallel_skipped_single_cpu" when the box cannot run a
+	// meaningful parallel pass.
 	Note string `json:"note,omitempty"`
 }
 
@@ -190,33 +176,6 @@ func timeBarrierNs(scale genima.Scale, nodes, procs int, topo genima.Topology, r
 	return float64(res.Elapsed) / float64(2*rounds+1)
 }
 
-// timeIntraRunEPS times repeated fft/GeNIMA runs at the given
-// intra-run worker count and returns the best observed events/sec
-// (best of three, so one scheduling hiccup does not skew the number).
-func timeIntraRunEPS(scale genima.Scale, workers int) float64 {
-	entry, ok := apps.ByName(scale, "fft")
-	if !ok {
-		fatal(fmt.Errorf("intra-run timing point fft missing from suite"))
-	}
-	cfg := genima.DefaultConfig()
-	cfg.Nodes = *nodesFlag
-	cfg.ProcsPerNode = *procsFlag
-	cfg.IntraRunWorkers = workers
-	cfg.LPShards = *lpsFlag
-	best := 0.0
-	for pass := 0; pass < 3; pass++ {
-		t0 := time.Now()
-		res, _, err := genima.Run(cfg, genima.GeNIMA, entry.App)
-		if err != nil {
-			fatal(err)
-		}
-		if eps := float64(res.Events) / time.Since(t0).Seconds(); eps > best {
-			best = eps
-		}
-	}
-	return best
-}
-
 // timeServe runs the svmkv serving workload once at registry defaults
 // under GeNIMA with clean links and returns its virtual-time throughput
 // (completed requests per simulated second) and p99 request latency
@@ -233,8 +192,8 @@ func timeServe(scale genima.Scale) (reqsPerSec, p99Ns float64) {
 	return res.Latency.Throughput(res.Elapsed), float64(res.Latency.Summary().P99)
 }
 
-// scalePoint describes one PDES scaling point (see the benchSummary
-// field docs): barrierbench at ProcsPerNode=1 on a large fabric.
+// scalePoint describes one scaling point (see the benchSummary field
+// docs): barrierbench at ProcsPerNode=1 on a large fabric.
 type scalePoint struct {
 	nodes       int
 	topo        genima.Topology
@@ -249,10 +208,8 @@ var (
 )
 
 // timeScaleEPS times barrierbench at one scaling point and returns the
-// best observed events/sec over three passes. workers<=1 is the serial
-// engine; otherwise the run is partitioned into LPShards shards
-// (0 = auto) under IntraRunWorkers=workers.
-func timeScaleEPS(scale genima.Scale, p scalePoint, workers, shards int) float64 {
+// best observed events/sec over three passes.
+func timeScaleEPS(scale genima.Scale, p scalePoint) float64 {
 	entry, ok := apps.ByName(scale, "barrierbench")
 	if !ok {
 		fatal(fmt.Errorf("barrierbench missing"))
@@ -263,8 +220,6 @@ func timeScaleEPS(scale genima.Scale, p scalePoint, workers, shards int) float64
 	cfg.Topo = p.topo
 	cfg.SwitchRadix = p.radix
 	cfg.Collectives = p.collectives
-	cfg.IntraRunWorkers = workers
-	cfg.LPShards = shards
 	best := 0.0
 	for pass := 0; pass < 3; pass++ {
 		t0 := time.Now()
@@ -333,30 +288,11 @@ func runBenchJSON(path string, scale genima.Scale, scaleName string, workers int
 		epsPar := float64(events) / parSec
 		parSecP, speedupP, epsParP = &parSec, &speedup, &epsPar
 	}
-	var epsIntraP, intraSpeedupP *float64
-	if runtime.NumCPU() == 1 {
-		notes = append(notes, "intrarun_skipped_single_cpu")
-	} else {
-		epsIntraSerial := timeIntraRunEPS(scale, 1)
-		epsIntra := timeIntraRunEPS(scale, workers)
-		intraSpeedup := epsIntra / epsIntraSerial
-		epsIntraP, intraSpeedupP = &epsIntra, &intraSpeedup
-	}
 	barrier32 := timeBarrierNs(scale, 8, *procsFlag, genima.TopoXbar, 8, false)
 	barrier128 := timeBarrierNs(scale, 32, *procsFlag, genima.TopoClos2, 8, true)
 	serveTput, serveP99 := timeServe(scale)
-	// PDES scaling points: serial throughput is measurable anywhere; the
-	// intra-run speedups need real parallelism.
-	epsP128 := timeScaleEPS(scale, scaleP128, 1, 0)
-	epsP512 := timeScaleEPS(scale, scaleP512, 1, 0)
-	var speedupP128P, speedupP512P *float64
-	if runtime.NumCPU() == 1 {
-		notes = append(notes, "intrarun_scale_skipped_single_cpu")
-	} else {
-		s128 := timeScaleEPS(scale, scaleP128, workers, *lpsFlag) / epsP128
-		s512 := timeScaleEPS(scale, scaleP512, workers, *lpsFlag) / epsP512
-		speedupP128P, speedupP512P = &s128, &s512
-	}
+	epsP128 := timeScaleEPS(scale, scaleP128)
+	epsP512 := timeScaleEPS(scale, scaleP512)
 	sum := benchSummary{
 		Generated:          time.Now().UTC().Format(time.RFC3339),
 		GoVersion:          runtime.Version(),
@@ -370,16 +306,12 @@ func runBenchJSON(path string, scale genima.Scale, scaleName string, workers int
 		SimEvents:          events,
 		EventsPerSecSerial: float64(events) / serialSec,
 		EventsPerSecPar:    epsParP,
-		EventsPerSecIntra:  epsIntraP,
-		IntraRunSpeedup:    intraSpeedupP,
 		AllocsPerEvent:     float64(allocs) / float64(events),
 		BytesPerEvent:      float64(bytes) / float64(events),
 		BarrierNsP32:       &barrier32,
 		BarrierNsP128:      &barrier128,
 		EventsPerSecP128:   &epsP128,
 		EventsPerSecP512:   &epsP512,
-		IntraSpeedupP128:   speedupP128P,
-		IntraSpeedupP512:   speedupP512P,
 		ServeReqsPerSec:    &serveTput,
 		ServeP99Ns:         &serveP99,
 		Note:               strings.Join(notes, ","),
@@ -396,8 +328,8 @@ func runBenchJSON(path string, scale genima.Scale, scaleName string, workers int
 			fmt.Fprintf(os.Stderr, "serial %.2fs (%s), %.2f allocs/event, %.0f B/event -> %s\n",
 				serialSec, sum.Note, sum.AllocsPerEvent, sum.BytesPerEvent, path)
 		} else {
-			fmt.Fprintf(os.Stderr, "serial %.2fs, parallel(%d) %.2fs, speedup %.2fx, intrarun speedup %.2fx, %.2f allocs/event, %.0f B/event -> %s\n",
-				serialSec, workers, *parSecP, *speedupP, *intraSpeedupP,
+			fmt.Fprintf(os.Stderr, "serial %.2fs, parallel(%d) %.2fs, speedup %.2fx, %.2f allocs/event, %.0f B/event -> %s\n",
+				serialSec, workers, *parSecP, *speedupP,
 				sum.AllocsPerEvent, sum.BytesPerEvent, path)
 		}
 	}
@@ -412,8 +344,6 @@ func runSoak(scaleName string) {
 	cfg := genima.DefaultConfig()
 	cfg.Nodes = *nodesFlag
 	cfg.ProcsPerNode = *procsFlag
-	cfg.IntraRunWorkers = *soakJrun
-	cfg.LPShards = *lpsFlag
 	opts := genima.SoakOptions{
 		Scale:          scaleName,
 		TargetEvents:   *soakEvents,
@@ -467,17 +397,6 @@ func runSoak(scaleName string) {
 	if n := sig.Load(); res.Interrupted && n != 0 {
 		os.Exit(128 + int(n))
 	}
-}
-
-// skipReason disambiguates a null intra-run field in a committed
-// baseline: the benchjson writer records a note token when the field
-// was skipped on a single-CPU box, so a null WITHOUT the token means
-// the committed file simply predates the field.
-func skipReason(note, token string) string {
-	if strings.Contains(note, token) {
-		return "baseline box was single-CPU"
-	}
-	return "committed baseline predates this field"
 }
 
 // runBenchGuard is the CI regression gate: re-time the serial suite at
@@ -597,11 +516,9 @@ func runBenchGuard(path string) {
 		}
 	}
 
-	// PDES scaling-point gates. Serial throughput at 128/512 nodes is
-	// wall-clock but measurable on any box: skip only when the committed
-	// file predates the field (null), fail on a >25% regression. The
-	// per-scale intra-run speedups additionally need real parallelism:
-	// skip those on a single-CPU box per the null-not-zero discipline.
+	// Scaling-point gates. Throughput at 128/512 nodes is wall-clock but
+	// measurable on any box: skip only when the committed file predates
+	// the field (null), fail on a >25% regression.
 	for _, g := range []struct {
 		name      string
 		committed *float64
@@ -616,7 +533,7 @@ func runBenchGuard(path string) {
 		}
 		best := 0.0
 		for pass := 0; pass < 2; pass++ {
-			if eps := timeScaleEPS(scale, g.point, 1, 0); eps > best {
+			if eps := timeScaleEPS(scale, g.point); eps > best {
 				best = eps
 			}
 		}
@@ -627,60 +544,6 @@ func runBenchGuard(path string) {
 		}
 		if sratio < 0.75 {
 			fatal(fmt.Errorf("%s regressed >25%% against %s", g.name, path))
-		}
-	}
-	for _, g := range []struct {
-		name      string
-		committed *float64
-		point     scalePoint
-	}{
-		{"intrarun_speedup_p128", committed.IntraSpeedupP128, scaleP128},
-		{"intrarun_speedup_p512", committed.IntraSpeedupP512, scaleP512},
-	} {
-		switch {
-		case g.committed == nil || *g.committed <= 0:
-			fmt.Fprintf(os.Stderr, "bench-guard: %s check skipped (%s)\n",
-				g.name, skipReason(committed.Note, "intrarun_scale_skipped_single_cpu"))
-		case runtime.NumCPU() == 1:
-			fmt.Fprintf(os.Stderr, "bench-guard: %s check skipped (single CPU; intra-run timing is meaningless here)\n", g.name)
-		default:
-			w := committed.Workers
-			if w < 2 {
-				w = runtime.GOMAXPROCS(0)
-			}
-			cur := timeScaleEPS(scale, g.point, w, 0) / timeScaleEPS(scale, g.point, 1, 0)
-			iratio := cur / *g.committed
-			if !*quietFlag || iratio < 0.75 {
-				fmt.Fprintf(os.Stderr, "bench-guard: %s %.2fx vs committed %.2fx (%.0f%%)\n",
-					g.name, cur, *g.committed, 100*iratio)
-			}
-			if iratio < 0.75 {
-				fatal(fmt.Errorf("%s regressed >25%% against %s", g.name, path))
-			}
-		}
-	}
-
-	// Intra-run throughput gate: only when the committed baseline has a
-	// measured number (multi-CPU box) and this box can reproduce one.
-	switch {
-	case committed.EventsPerSecIntra == nil || *committed.EventsPerSecIntra <= 0:
-		fmt.Fprintf(os.Stderr, "bench-guard: intra-run check skipped (%s)\n",
-			skipReason(committed.Note, "intrarun_skipped_single_cpu"))
-	case runtime.NumCPU() == 1:
-		fmt.Fprintln(os.Stderr, "bench-guard: intra-run check skipped (single CPU; intra-run timing is meaningless here)")
-	default:
-		w := committed.Workers
-		if w < 2 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		cur := timeIntraRunEPS(scale, w)
-		iratio := cur / *committed.EventsPerSecIntra
-		if !*quietFlag || iratio < 0.75 {
-			fmt.Fprintf(os.Stderr, "bench-guard: intra-run %.0f events/sec vs committed %.0f (%.0f%%)\n",
-				cur, *committed.EventsPerSecIntra, 100*iratio)
-		}
-		if iratio < 0.75 {
-			fatal(fmt.Errorf("intra-run throughput regressed >25%% against %s", path))
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 
 	"genima/internal/core"
 	"genima/internal/nic"
@@ -20,9 +19,8 @@ var ErrInterrupted = errors.New("run interrupted by controller")
 
 // Boundary is a consistent cut of a running simulation, handed to
 // RunControl hooks. It is only valid during the hook call: the hooks
-// run in deterministic single-threaded contexts (inline with serial
-// event execution, or at a cluster barrier), and the simulation resumes
-// as soon as the hook returns.
+// run inline with event execution, and the simulation resumes as soon
+// as the hook returns.
 type Boundary struct {
 	TraceEvents uint64   // trace events emitted so far (the cut ordinal)
 	SimTime     sim.Time // virtual clock at the cut
@@ -31,14 +29,11 @@ type Boundary struct {
 	digest func() uint64
 }
 
-// StateDigest computes the live-state fingerprint at this cut: engine/LP
-// heaps and clocks, NI pools and reliable-delivery flows, protocol
-// tables and mailboxes, page contents, fault-stream cursors. It walks
-// the whole simulator state, so call it only when the digest is
-// actually wanted (checkpoint writes, verification cuts). The value is
-// comparable only between runs in the same execution mode — a parallel
-// run's deferred-commit backlog makes its live state at a given trace
-// ordinal legitimately differ from a serial run's.
+// StateDigest computes the live-state fingerprint at this cut: the
+// engine's heap and clock, NI pools and reliable-delivery flows,
+// protocol tables and mailboxes, page contents, fault-stream cursors.
+// It walks the whole simulator state, so call it only when the digest
+// is actually wanted (checkpoint writes, verification cuts).
 func (b *Boundary) StateDigest() uint64 { return b.digest() }
 
 // RunControl hooks a run's trace stream for checkpointing, streaming
@@ -78,71 +73,36 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl *RunControl) (
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	// Intra-run parallelism: with more than one worker and more than one
-	// node, the run is partitioned into shard-granular logical processes
-	// under a conservative PDES cluster (LPShards node shards plus the
-	// fabric LP; see Config.EffectiveLPShards). The serial path builds no
-	// cluster at all, so it is exactly the engine the goldens were
-	// recorded on. The wiring below is bipartite by construction — nodes
-	// talk to other nodes only through fabric links and switches
-	// (TransferCross/RouteCross in internal/network), and NI-local timers
-	// stay on their own LP — so the cluster may batch windows per class.
-	var cl *sim.Cluster
-	var eng *sim.Engine
-	if cfg.IntraRunWorkers > 1 && cfg.Nodes > 1 {
-		nodeLA, fabLA := cfg.Lookaheads()
-		cl = sim.NewCluster(cfg.Nodes, cfg.EffectiveLPShards(), cfg.IntraRunWorkers, nodeLA, fabLA)
-		cl.MarkBipartite()
-		eng = cl.Main()
-	} else {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	ws := NewWorkspace(&cfg)
 	a.Setup(ws)
 	sys := core.New(eng, &cfg, kind, ws.Space)
 
-	// Control plumbing. The tracer below runs only in single-threaded
-	// contexts: inline during serial (and lone-mode) event execution,
-	// or on the Run goroutine at a cluster barrier while the worker
-	// pool is parked — so reading cross-LP state (Events, Now, digests)
-	// is safe, and halting is an ordinary flag-and-stop.
+	// Control plumbing. The tracer below runs inline with event
+	// execution, so halting is an ordinary flag-and-stop.
 	var traceIdx uint64
 	var verifyErr error
 	var interrupted bool
 	if ctl.active() {
 		halt := func() {
 			interrupted = true
-			if cl != nil {
-				cl.Stop()
-			} else {
-				eng.Stop()
-			}
+			eng.Stop()
 		}
 		digest := func() uint64 {
 			d := sim.NewDigest()
-			if cl != nil {
-				cl.DigestInto(d)
-			} else {
-				eng.DigestInto(d)
-			}
+			eng.DigestInto(d)
 			sys.DigestInto(d)
 			sys.Layer.NIs().DigestInto(d)
 			return d.Sum()
 		}
 		cut := func() *Boundary {
-			b := &Boundary{TraceEvents: traceIdx, digest: digest}
-			if cl != nil {
-				b.SimTime, b.Events = cl.Now(), cl.Events()
-			} else {
-				b.SimTime, b.Events = eng.Now(), eng.Events()
-			}
-			return b
+			return &Boundary{TraceEvents: traceIdx, SimTime: eng.Now(), Events: eng.Events(), digest: digest}
 		}
 		sys.Layer.Monitor().Tracer = func(ev nic.TraceEvent) {
 			if interrupted {
-				// Barrier defer replay may still commit a few records
-				// after the halting hook; they belong past the cut and
-				// must not reach the controller.
+				// Anything delivered after the halting hook, before the
+				// engine stops, belongs past the cut and must not reach
+				// the controller.
 				return
 			}
 			idx := traceIdx
@@ -169,43 +129,33 @@ func RunSVMControlled(cfg topo.Config, kind core.Kind, a App, ctl *RunControl) (
 	n := cfg.NumProcs()
 	ctxs := make([]*Ctx, n)
 	finish := make([]sim.Time, n)
-	var finished int32
+	finished := 0
 	mi := memIntensityOf(a)
 	for i := 0; i < n; i++ {
 		i := i
 		nd, cpu := i/cfg.ProcsPerNode, i%cfg.ProcsPerNode
 		be := NewSVMBackend(sys, nd, cpu)
 		ctxs[i] = NewCtx(i, n, nil, be, ws, &cfg, mi)
-		// Each processor process lives on its node's logical process
-		// (LPNode is the engine itself in a serial run).
-		eng.LPNode(nd).Go(a.Name()+"-p"+strconv.Itoa(i), func(p *sim.Proc) {
+		eng.Go(a.Name()+"-p"+strconv.Itoa(i), func(p *sim.Proc) {
 			ctxs[i].p = p
 			a.Run(ctxs[i])
 			ctxs[i].Barrier() // flush all diffs to the homes
 			finish[i] = p.Now()
-			atomic.AddInt32(&finished, 1)
+			finished++
 		})
 	}
-	if cl != nil {
-		cl.Run()
-	} else {
-		eng.RunUntilQuiet()
-	}
+	eng.RunUntilQuiet()
 	if verifyErr != nil {
 		return nil, nil, verifyErr
 	}
-	if !interrupted && int(finished) != n {
+	if !interrupted && finished != n {
 		return nil, nil, fmt.Errorf("app %s on %v: %d/%d processors finished (protocol deadlock)", a.Name(), kind, finished, n)
 	}
 	res := collect(kind.String(), ctxs, finish)
 	res.Acct = sys.Accounting()
 	res.PoolMisses, res.PoolFree = sys.PoolUse()
 	res.Monitor = sys.Layer.Monitor()
-	if cl != nil {
-		res.Events = cl.Events()
-	} else {
-		res.Events = eng.Events()
-	}
+	res.Events = eng.Events()
 	nis := sys.Layer.NIs()
 	frac := func(busy sim.Time) float64 {
 		if res.Elapsed == 0 {

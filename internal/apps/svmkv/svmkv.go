@@ -11,8 +11,8 @@
 // Determinism contract (the repo's core invariant): the full request
 // schedule — arrival times, keys, ops, values — is precomputed in New
 // as a pure function of Params (splitmix64 streams, no global rand) and
-// is read-only during Run, so it is safe to share across LPs and across
-// the parallel/sequential runs of a validation pair. Requests carry a
+// is read-only during Run, so it is safe to share across the
+// parallel/sequential runs of a validation pair. Requests carry a
 // global index; every access to a given shard is made by that shard's
 // current owner in ascending index order, in both the parallel run
 // (each owner walks its shards' subsequence in order) and the

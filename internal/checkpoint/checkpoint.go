@@ -12,10 +12,10 @@
 // needed to rebuild the run from its inputs. Restore re-executes the
 // run from event zero with trace emission suppressed up to the cut,
 // verifies that the replayed prefix reproduces the recorded hash
-// midstate (and, when the execution mode matches, the state digest),
-// and then continues normally. The resumed trace is byte-identical to
-// an uninterrupted run by construction, and the verification turns "by
-// construction" into a checked invariant. Soak mode (genima.Soak)
+// midstate and the state digest, and then continues normally. The
+// resumed trace is byte-identical to an uninterrupted run by
+// construction, and the verification turns "by construction" into a
+// checked invariant. Soak mode (genima.Soak)
 // checkpoints at run boundaries, where no process state is live at
 // all, so its restores are true O(1) cursor seeks.
 //
@@ -43,8 +43,9 @@ const (
 	// Magic identifies a genima checkpoint file.
 	Magic = uint32(0x474e434b) // "GNCK"
 	// Version is the current format version. Load rejects other
-	// versions: the payload layout is not self-describing.
-	Version = uint32(1)
+	// versions: the payload layout is not self-describing. Version 2
+	// dropped version 1's two execution-mode words.
+	Version = uint32(2)
 )
 
 // Sentinel errors, matchable with errors.Is.
@@ -53,22 +54,13 @@ var (
 	ErrVersion = errors.New("checkpoint: unsupported format version")
 )
 
-// State is everything a checkpoint records. Mode fields capture the
-// execution mode the checkpoint was taken under; the trace stream is
-// mode-independent, so a restore may run under a different mode, but
-// the live-state digest is only comparable when the mode matches (a
-// parallel run's deferred-commit backlog makes its live state at trace
-// event k legitimately differ from a serial run's).
+// State is everything a checkpoint records.
 type State struct {
 	// Run identity.
 	ConfigSum [32]byte // ConfigSum(cfg): the topology/cost/fault fingerprint
 	App       string
 	Proto     string
 	Scale     string
-
-	// Execution mode at checkpoint time.
-	ModeWorkers int
-	ModeShards  int
 
 	// Cut point.
 	TraceEvents uint64 // trace events emitted before the cut
@@ -87,14 +79,12 @@ type State struct {
 }
 
 // ConfigSum fingerprints a cluster configuration for restore-time
-// compatibility checking. Execution-mode fields (IntraRunWorkers,
-// LPShards) are zeroed first: they change how the run is executed, not
-// what it computes, and a checkpoint taken under one mode may be
-// restored under another.
+// compatibility checking. The deprecated IntraRunWorkers field is
+// zeroed first: nothing reads it, so it cannot change what a run
+// computes.
 func ConfigSum(cfg *topo.Config) [32]byte {
 	c := *cfg
 	c.IntraRunWorkers = 0
-	c.LPShards = 0
 	return sha256.Sum256([]byte(fmt.Sprintf("%#v", c)))
 }
 
@@ -194,12 +184,6 @@ func (st *State) CompatibleWith(cfg *topo.Config, app, proto, scale string) erro
 	return nil
 }
 
-// SameMode reports whether the checkpoint was taken under the given
-// execution mode — the gate for comparing StateDigest.
-func (st *State) SameMode(workers, shards int) bool {
-	return st.ModeWorkers == workers && st.ModeShards == shards
-}
-
 // --- payload encoding -------------------------------------------------
 
 type encoder struct{ b []byte }
@@ -252,8 +236,6 @@ func (st *State) encode() []byte {
 	e.str(st.App)
 	e.str(st.Proto)
 	e.str(st.Scale)
-	e.u64(uint64(st.ModeWorkers))
-	e.u64(uint64(st.ModeShards))
 	e.u64(st.TraceEvents)
 	e.u64(uint64(st.SimTime))
 	e.u64(st.Events)
@@ -288,19 +270,11 @@ func (st *State) decode(payload []byte) error {
 	if st.Scale, err = d.str(); err != nil {
 		return fail("Scale", err)
 	}
-	var v uint64
-	if v, err = d.u64(); err != nil {
-		return fail("ModeWorkers", err)
-	}
-	st.ModeWorkers = int(v)
-	if v, err = d.u64(); err != nil {
-		return fail("ModeShards", err)
-	}
-	st.ModeShards = int(v)
 	if st.TraceEvents, err = d.u64(); err != nil {
 		return fail("TraceEvents", err)
 	}
-	if v, err = d.u64(); err != nil {
+	v, err := d.u64()
+	if err != nil {
 		return fail("SimTime", err)
 	}
 	st.SimTime = int64(v)

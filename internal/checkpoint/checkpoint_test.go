@@ -14,7 +14,6 @@ import (
 func sampleState() *State {
 	st := &State{
 		App: "fft", Proto: "GeNIMA", Scale: "test",
-		ModeWorkers: 4, ModeShards: 2,
 		TraceEvents: 12345, SimTime: 987654321, Events: 400000,
 		StateDigest: 0xdeadbeefcafef00d,
 		HashState:   []byte{1, 2, 3, 4, 5},
@@ -40,7 +39,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.ConfigSum != want.ConfigSum || got.App != want.App || got.Proto != want.Proto ||
-		got.Scale != want.Scale || got.ModeWorkers != want.ModeWorkers || got.ModeShards != want.ModeShards ||
+		got.Scale != want.Scale ||
 		got.TraceEvents != want.TraceEvents || got.SimTime != want.SimTime || got.Events != want.Events ||
 		got.StateDigest != want.StateDigest || got.SoakIter != want.SoakIter ||
 		got.SoakEvents != want.SoakEvents || got.SoakChain != want.SoakChain || got.Note != want.Note {
@@ -130,13 +129,12 @@ func TestCompatibleWith(t *testing.T) {
 	if err := st.CompatibleWith(&other, "fft", "GeNIMA", "test"); err == nil {
 		t.Fatal("config mismatch accepted")
 	}
-	// Mode fields must NOT participate in ConfigSum: a checkpoint can be
-	// restored under a different (jrun, lpshards).
-	modal := topo.Default()
-	modal.IntraRunWorkers = 8
-	modal.LPShards = 4
-	if err := st.CompatibleWith(&modal, "fft", "GeNIMA", "test"); err != nil {
-		t.Fatalf("mode-only config change rejected: %v", err)
+	// The deprecated IntraRunWorkers field is read by nothing, so it
+	// must not participate in ConfigSum.
+	deprecated := topo.Default()
+	deprecated.IntraRunWorkers = 8
+	if err := st.CompatibleWith(&deprecated, "fft", "GeNIMA", "test"); err != nil {
+		t.Fatalf("IntraRunWorkers-only config change rejected: %v", err)
 	}
 }
 

@@ -218,7 +218,7 @@ func (n *Node) barrierColl(p *sim.Proc, seq int) sim.Time {
 }
 
 // colBarSink receives completed tree-barrier epochs from the NI layer
-// (engine context on the landing node's LP).
+// (engine context at the landing node).
 type colBarSink struct{ s *System }
 
 // ColBarrierDone implements nic.ColBarrierSink.

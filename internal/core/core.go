@@ -138,7 +138,7 @@ func New(eng *sim.Engine, cfg *topo.Config, kind Kind, space *memory.Space) *Sys
 
 // newInterval allocates an interval with room for npages page ids from
 // the node's arena (intervals are only ever created by their source
-// node, so the arena is per-node and touched only by the node's LP).
+// node, so the arena is per-node).
 // The chunk pointers stay valid when a new chunk starts.
 func (n *Node) newInterval(seq uint64, npages int) *interval {
 	if len(n.ivChunk) == cap(n.ivChunk) {
@@ -205,12 +205,6 @@ const (
 type Node struct {
 	sys *System
 	ID  int
-
-	// eng is the node's logical process. In a serial run it is the
-	// system engine; in a parallel run every engine-context action of
-	// this node (protocol process wakeups, gate wakeups) must be
-	// scheduled here so it stays on the node's own event heap.
-	eng *sim.Engine
 
 	Mem *memory.NodeMem
 	ep  *vmmc.Endpoint
@@ -295,7 +289,6 @@ func newNode(s *System, id int) *Node {
 	n := &Node{
 		sys:         s,
 		ID:          id,
-		eng:         s.Eng.LPNode(id),
 		ep:          s.Layer.Endpoint(id),
 		arrived:     make([]uint64, s.Cfg.Nodes),
 		log:         make([][]*interval, s.Cfg.Nodes),
@@ -357,7 +350,7 @@ func (n *Node) start() {
 	// residual interrupt-class traffic exists until GeNIMA), but under
 	// GeNIMA it never receives a message. It needs no startup event: it
 	// first runs when a message arrives.
-	sim.Serve(n.eng, "proto-n"+strconv.Itoa(n.ID), &n.mb, n.serveMsg)
+	sim.Serve(n.sys.Eng, "proto-n"+strconv.Itoa(n.ID), &n.mb, n.serveMsg)
 }
 
 // perturb charges interrupt scheduling perturbation to the next victim

@@ -67,13 +67,13 @@ type sgDep struct {
 	d      *diffMsg
 }
 
-// ApplySG implements vmmc.SGApplier (engine context, home NI firmware —
-// the home's logical process, which releases the consumed records).
+// ApplySG implements vmmc.SGApplier (engine context, home NI firmware,
+// which releases the consumed records).
 func (m *sgDep) ApplySG() {
 	memory.ApplyRuns(m.origin.sys.Space.HomeCopy(m.pg), m.d.runs)
 	m.home.bumpVersion(m.pg, m.origin.ID, m.seq)
-	m.home.release(m.d)
-	m.home.release(m)
+	m.d.release()
+	m.release()
 }
 
 // closeInterval closes the node's open write interval: computes diffs

@@ -136,7 +136,7 @@ func (n *Node) faultIn(p *sim.Proc, page int) {
 		copy(n.copyVer.row(page), pl.ver)
 		n.copyVerSet[page] = true
 		n.installFetched(page, pl.data)
-		n.release(pl) // snapshot consumed
+		pl.release() // snapshot consumed
 		n.state[page] = pageValid
 		// Map the fresh page read-only.
 		p.Sleep(c.MprotectBase)
@@ -184,7 +184,7 @@ func (n *Node) fetchBase(p *sim.Proc, page int) *fetchPayload {
 			break
 		}
 		n.Acct.FetchRetries++
-		n.release(req.reply) // stale snapshot
+		req.reply.release() // stale snapshot
 		req.done.Reset()
 	}
 	pl := req.reply
@@ -204,7 +204,7 @@ func (n *Node) fetchRF(p *sim.Proc, page int) *fetchPayload {
 			return pl
 		}
 		n.Acct.FetchRetries++
-		n.release(pl) // stale snapshot
+		pl.release() // stale snapshot
 		p.Sleep(n.sys.Cfg.Costs.FetchRetryBackoff)
 	}
 }

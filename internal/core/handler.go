@@ -76,7 +76,7 @@ func (n *Node) applyPackedDiff(p *sim.Proc, d *diffMsg) {
 	p.Sleep(sim.Time(float64(d.wireSize()) * n.sys.Cfg.Costs.HandlerPerByte))
 	memory.ApplyRuns(n.sys.Space.HomeCopy(d.page), d.runs)
 	page, src, seq := d.page, d.origin.ID, d.seq
-	n.release(d) // consumed; free before the retry path yields
+	d.release() // consumed; free before the retry path yields
 	n.bumpVersion(page, src, seq)
 	reqs := n.pendingReqs[page]
 	if len(reqs) == 0 {
@@ -122,7 +122,7 @@ func (n *Node) handleLockFwd(p *sim.Proc, req *lockReqMsg) {
 	lk := n.lock(req.id)
 	if lk.cached && !lk.held {
 		n.grantRemote(p, lk, req.origin.ID, req.reqVC)
-		n.release(req)
+		req.release()
 		return
 	}
 	if lk.pendingReq {
@@ -134,7 +134,7 @@ func (n *Node) handleLockFwd(p *sim.Proc, req *lockReqMsg) {
 		lk.pendingVC = make([]uint64, n.sys.Cfg.Nodes)
 	}
 	copy(lk.pendingVC, req.reqVC)
-	n.release(req)
+	req.release()
 }
 
 // handleBarArrive aggregates a barrier arrival at the master; the last

@@ -163,7 +163,7 @@ func (n *Node) acquireNIL(p *sim.Proc, lk *nodeLock) {
 	vm := payload.(*vcMsg)
 	n.waitNotices(p, vm.vc)
 	n.applyUpTo(p, vm.vc)
-	n.release(vm)
+	vm.release()
 }
 
 func (n *Node) acquireBase(p *sim.Proc, lk *nodeLock) {
@@ -193,7 +193,7 @@ func (n *Node) acquireBase(p *sim.Proc, lk *nodeLock) {
 		n.waitNotices(p, g.vc)
 	}
 	n.applyUpTo(p, g.vc)
-	n.release(g)
+	g.release()
 }
 
 // LockRelease releases lock id. A waiting local processor gets the lock

@@ -3,7 +3,6 @@ package core
 import (
 	"genima/internal/memory"
 	"genima/internal/nic"
-	"genima/internal/sim"
 )
 
 // Deterministic free lists for protocol records, one set per node.
@@ -76,14 +75,6 @@ func (s *System) PoolUse() (misses, free uint64) {
 	return misses, free
 }
 
-// release hands a consumed record back to the node that allocated it;
-// its Run method does the return. n is the consuming node, whose logical
-// process is running: in a serial run the record returns inline, and in
-// a parallel round the write to the origin's free list (possibly another
-// LP's state) waits for the round barrier via DeferFlush. Pool contents
-// never influence the simulation, so the trace is the same either way.
-func (n *Node) release(r sim.Handler) { n.eng.DeferFlush(r) }
-
 func (n *Node) getPageReq() *pageReqMsg {
 	return n.pageReqs.get(n, func(n *Node, r *pageReqMsg) { r.need = make([]uint64, n.sys.Cfg.Nodes) })
 }
@@ -107,9 +98,8 @@ func (n *Node) snapshot(page int) *fetchPayload {
 	return pl
 }
 
-// Run implements sim.Handler for release: the page buffer and the
-// record return to the home.
-func (pl *fetchPayload) Run(_, _ sim.Time) {
+// release returns the page buffer and the record to the home.
+func (pl *fetchPayload) release() {
 	pl.home.Mem.Pool().Put(pl.data)
 	pl.data = nil
 	pl.home.fetches.put(pl)
@@ -126,8 +116,8 @@ func (n *Node) getDiff() *diffMsg {
 	})
 }
 
-// Run implements sim.Handler for release.
-func (d *diffMsg) Run(_, _ sim.Time) {
+// release returns the record to the node that allocated it.
+func (d *diffMsg) release() {
 	d.runs = d.runs[:0]
 	d.origin.diffs.put(d)
 }
@@ -136,15 +126,15 @@ func (n *Node) getLockReq() *lockReqMsg {
 	return n.lockReqs.get(n, func(n *Node, r *lockReqMsg) { r.origin, r.reqVC = n, make([]uint64, n.sys.Cfg.Nodes) })
 }
 
-// Run implements sim.Handler for release.
-func (r *lockReqMsg) Run(_, _ sim.Time) { r.origin.lockReqs.put(r) }
+// release returns the record to the node that allocated it.
+func (r *lockReqMsg) release() { r.origin.lockReqs.put(r) }
 
 func (n *Node) getGrant() *lockGrant {
 	return n.grants.get(n, func(n *Node, g *lockGrant) { g.origin, g.vc = n, make([]uint64, n.sys.Cfg.Nodes) })
 }
 
-// Run implements sim.Handler for release.
-func (g *lockGrant) Run(_, _ sim.Time) {
+// release returns the record to the node that allocated it.
+func (g *lockGrant) release() {
 	g.intervals = g.intervals[:0]
 	g.origin.grants.put(g)
 }
@@ -153,15 +143,15 @@ func (n *Node) getVCMsg() *vcMsg {
 	return n.vcMsgs.get(n, func(n *Node, m *vcMsg) { m.origin, m.vc = n, make([]uint64, n.sys.Cfg.Nodes) })
 }
 
-// Run implements sim.Handler for release.
-func (m *vcMsg) Run(_, _ sim.Time) { m.origin.vcMsgs.put(m) }
+// release returns the record to the node that allocated it.
+func (m *vcMsg) release() { m.origin.vcMsgs.put(m) }
 
 func (n *Node) getRunDep() *runDep {
 	return n.runDeps.get(n, func(n *Node, r *runDep) { r.origin = n })
 }
 
-// Run implements sim.Handler for release.
-func (r *runDep) Run(_, _ sim.Time) {
+// release returns the record to the node that allocated it.
+func (r *runDep) release() {
 	r.run = memory.Run{}
 	r.origin.runDeps.put(r)
 }
@@ -170,8 +160,8 @@ func (n *Node) getVerMark() *verMark {
 	return n.verMarks.get(n, func(n *Node, v *verMark) { v.origin = n })
 }
 
-// Run implements sim.Handler for release.
-func (v *verMark) Run(_, _ sim.Time) {
+// release returns the record to the node that allocated it.
+func (v *verMark) release() {
 	v.d = nil
 	v.origin.verMarks.put(v)
 }
@@ -180,8 +170,8 @@ func (n *Node) getSGDep() *sgDep {
 	return n.sgDeps.get(n, func(n *Node, m *sgDep) { m.origin = n })
 }
 
-// Run implements sim.Handler for release.
-func (m *sgDep) Run(_, _ sim.Time) {
+// release returns the record to the node that allocated it.
+func (m *sgDep) release() {
 	m.d = nil
 	m.origin.sgDeps.put(m)
 }
@@ -226,7 +216,7 @@ var runDepDel runDepDeliver
 func (runDepDeliver) Deliver(pkt *nic.Packet) {
 	rd := pkt.Payload.(*runDep)
 	memory.ApplyRun(rd.origin.sys.Space.HomeCopy(rd.pg), rd.run)
-	rd.origin.sys.Nodes[pkt.Dst].release(rd)
+	rd.release()
 }
 
 // verMarkDeliver lands a direct-diff version marker. Per-pair FIFO
@@ -241,9 +231,9 @@ func (verMarkDeliver) Deliver(pkt *nic.Packet) {
 	vm := pkt.Payload.(*verMark)
 	vm.home.bumpVersion(vm.pg, vm.origin.ID, vm.seq)
 	if vm.d != nil {
-		vm.home.release(vm.d)
+		vm.d.release()
 	}
-	vm.home.release(vm)
+	vm.release()
 }
 
 // noticeDeliver records an eagerly deposited write notice at pkt.Dst

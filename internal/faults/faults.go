@@ -52,12 +52,8 @@ type Verdict struct {
 	Delay sim.Time
 }
 
-// linkState is one directional link's fault stream. Each state —
-// including its injection counters — is touched only by the logical
-// process that executes that link's crossings (the fabric LP for out
-// links, the receiving node's LP for in links), so parallel runs need
-// no synchronization here; Plan.Report aggregates the shards after the
-// run.
+// linkState is one directional link's fault stream and injection
+// counters; Plan.Report aggregates them after the run.
 type linkState struct {
 	r    rng.Stream
 	down []topo.DownWindow

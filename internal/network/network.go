@@ -37,15 +37,6 @@ func (l *Link) TransferHandler(n int, h sim.Handler) {
 	l.res.EnqueueHandler(l.ServiceTime(n), h)
 }
 
-// TransferCross is TransferHandler for a completion that runs on a
-// different logical process (the far side of the link): the reservation
-// is made by `from` (which must own this link), the completion is
-// delivered to `to`. Serial runs (from == to) are byte-identical to
-// TransferHandler.
-func (l *Link) TransferCross(n int, from, to *sim.Engine, h sim.Handler) {
-	l.res.EnqueueHandlerCross(from, to, l.ServiceTime(n), h)
-}
-
 // Stats exposes the underlying resource for utilization reporting.
 func (l *Link) Stats() *sim.Resource { return l.res }
 
@@ -74,22 +65,6 @@ func (s *Switch) RouteHandler(h sim.Handler) {
 	s.res.EnqueueHandler(s.fixed, h)
 }
 
-// RouteCross is RouteHandler with the completion delivered to another
-// logical process (the destination host's LP); from must be the
-// fabric LP that owns the switch. Serial runs (from == to) are
-// byte-identical to RouteHandler.
-func (s *Switch) RouteCross(from, to *sim.Engine, h sim.Handler) {
-	s.res.EnqueueHandlerCross(from, to, s.fixed, h)
-}
-
-// Reserve claims the switch's next FIFO routing slot without scheduling
-// a completion and returns its (start, end). The parallel broadcast
-// path uses it to compute the single routing occupancy it then fans out
-// to every destination LP itself.
-func (s *Switch) Reserve() (start, end sim.Time) {
-	return s.res.Reserve(s.fixed)
-}
-
 // ServiceTime returns the uncontended routing delay.
 func (s *Switch) ServiceTime() sim.Time { return s.fixed }
 
@@ -105,7 +80,7 @@ type Fabric struct {
 	// for the one-switch call sites and utilization reporting.
 	Switch *Switch
 	// Switches holds every switch of the fabric, indexed by the ids
-	// Desc's routes use. All of them live on the fabric LP.
+	// Desc's routes use.
 	Switches []*Switch
 	// Desc is the compiled topology: switch inventory + routing table.
 	Desc *topo.FabricDesc
@@ -119,14 +94,7 @@ type Fabric struct {
 	Faults *faults.Plan
 }
 
-// NewFabric builds the fabric for cfg.Nodes hosts. Resources are placed
-// on their owning logical process — every switch on the fabric LP, node
-// i's links on node i's LP (LinkFixed is the node LPs' lookahead: every
-// event a node schedules on the fabric is an out-link completion at
-// least LinkFixed away; SwitchFixed, the per-hop cost, is the fabric
-// LP's, by the mirror argument — intermediate hops stay fabric-local).
-// On a standalone engine LPNode/LPFabric return the engine itself and
-// nothing changes.
+// NewFabric builds the fabric for cfg.Nodes hosts on eng.
 func NewFabric(eng *sim.Engine, cfg *topo.Config) *Fabric {
 	desc := cfg.Fabric()
 	f := &Fabric{
@@ -140,15 +108,15 @@ func NewFabric(eng *sim.Engine, cfg *topo.Config) *Fabric {
 		if desc.NumSwitches > 1 {
 			name = fmt.Sprintf("sw%d.s%d", i, desc.SwitchStage[i])
 		}
-		f.Switches[i] = NewSwitchNamed(eng.LPFabric(), name, cfg.Costs.SwitchFixed)
+		f.Switches[i] = NewSwitchNamed(eng, name, cfg.Costs.SwitchFixed)
 	}
 	f.Switch = f.Switches[0]
 	if cfg.Faults.Enabled {
 		f.Faults = faults.New(&cfg.Faults, cfg.Nodes)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		f.Out[i] = NewLink(eng.LPNode(i), "link-out", cfg.Costs.LinkFixed, cfg.Costs.LinkPerByte)
-		f.In[i] = NewLink(eng.LPNode(i), "link-in", cfg.Costs.LinkFixed, cfg.Costs.LinkPerByte)
+		f.Out[i] = NewLink(eng, "link-out", cfg.Costs.LinkFixed, cfg.Costs.LinkPerByte)
+		f.In[i] = NewLink(eng, "link-in", cfg.Costs.LinkFixed, cfg.Costs.LinkPerByte)
 	}
 	return f
 }

@@ -26,12 +26,10 @@ package nic
 // deliver/host-op records are drawn from the free lists of the NI that
 // allocates them and always return there. A combine buffer's final
 // consumer is often another NI (the parent on the way up, the child on
-// the way down), so it hands the buffer back with Engine.DeferFlush:
-// inline in a serial run, at the round barrier in a parallel one, so
-// no NI mutates another LP's free list mid-round. A retransmitted
-// packet may still hold a pointer to a released (and even reused)
-// colMsg, but the reliability gate discards duplicates before the
-// handler dereferences anything, the same argument that covers
+// the way down), so it hands the buffer back with colMsg.release. A
+// retransmitted packet may still hold a pointer to a released (and even
+// reused) colMsg, but the reliability gate discards duplicates before
+// the handler dereferences anything, the same argument that covers
 // diff/interval payloads.
 
 import (
@@ -55,9 +53,8 @@ type colMsg struct {
 	vec   []uint64
 }
 
-// Run implements sim.Handler for Engine.DeferFlush: the consumed buffer
-// returns to the NI that allocated it.
-func (m *colMsg) Run(_, _ sim.Time) { m.owner.msgFree = append(m.owner.msgFree, m) }
+// release returns a consumed buffer to the NI that allocated it.
+func (m *colMsg) release() { m.owner.msgFree = append(m.owner.msgFree, m) }
 
 // colOp is one in-flight barrier epoch's combine state at this NI.
 // Epochs use a 4-slot ring keyed by seq&3, mirroring the host-side
@@ -245,7 +242,7 @@ func (ni *NI) colSendVec(dst, seq int, kind string, fw func(*NI, *Packet), m *co
 func colUpFw(dst *NI, pkt *Packet) {
 	m := pkt.Payload.(*colMsg)
 	dst.colContribute(pkt.Meta, m.vec)
-	dst.eng.DeferFlush(m)
+	m.release()
 }
 
 // colDnFw receives the released vector on the way down: forward to
@@ -376,12 +373,12 @@ func (c *colState) getDeliver() *colDeliver {
 	return &colDeliver{}
 }
 
-// Run implements sim.Handler (PCI completion at the owning NI's LP).
+// Run implements sim.Handler (PCI completion at the owning NI).
 func (d *colDeliver) Run(_, _ sim.Time) {
 	ni := d.ni
 	if d.barrier {
 		ni.col.sink.ColBarrierDone(ni.ID, d.seq, d.m.vec)
-		ni.eng.DeferFlush(d.m)
+		d.m.release()
 	} else if d.to != nil {
 		// Hand the payload to the protocol through a scratch packet so
 		// the Deliverer sees the same shape as a flat deposit.
@@ -439,7 +436,7 @@ func (h *colHostOp) Run(_, _ sim.Time) {
 		ni.colForward(ni.ID, h.size, h.kind, h.payload, h.to)
 	case 1:
 		ni.colContribute(h.seq, h.m.vec)
-		ni.eng.DeferFlush(h.m)
+		h.m.release()
 	}
 	*h = colHostOp{}
 	ni.col.hostFree = append(ni.col.hostFree, h)

@@ -11,8 +11,8 @@ import (
 // monitor — into d, for checkpoint verification. Everything folded is a
 // pure function of the executed event prefix (pool free-list LENGTHS
 // rather than pointer identities, entry contents rather than heap
-// addresses), so two runs that executed the same prefix in the same
-// mode digest identically.
+// addresses), so two runs that executed the same prefix digest
+// identically.
 func (s *System) DigestInto(d *sim.Digest) {
 	d.U64(uint64(len(s.NIs)))
 	for _, ni := range s.NIs {
@@ -31,7 +31,7 @@ func (ni *NI) digestInto(d *sim.Digest) {
 	ni.Firmware.DigestInto(d)
 	d.U64(uint64(len(ni.pool.pktFree)))
 	d.U64(uint64(len(ni.pool.trFree)))
-	d.U64(uint64(len(ni.monFree)))
+	d.U64(0) // retired deferred-monitor free list, kept so digests stay stable
 	if ni.rel != nil {
 		ni.rel.digestInto(d)
 	}

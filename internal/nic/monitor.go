@@ -54,125 +54,64 @@ type Monitor struct {
 	Tracer func(TraceEvent)
 }
 
-// monRec is a snapshot of the packet fields the monitor needs. During a
-// parallel round, delivery events on different LPs must not mutate the
-// shared Monitor concurrently, so record snapshots the packet (which
-// may be recycled before the round ends) and defers the commit to the
-// barrier, where DeferFlush replays commits in the global serial order
-// of the delivery events. monRec implements sim.Handler for exactly
-// that replay.
-type monRec struct {
-	ni       *NI
-	size     int
-	kind     string
-	fw       bool
-	noSrcDMA bool
-	fwSvc    sim.Time
-	src, dst int
-
-	tPost, tSrc, tInject, tArrive, tDone sim.Time
-}
-
-func (r *monRec) fill(ni *NI, pkt *Packet) {
-	r.ni = ni
-	r.size, r.kind = pkt.Size, pkt.Kind
-	r.fw, r.noSrcDMA, r.fwSvc = pkt.FwHandler != nil, pkt.noSrcDMA, pkt.FwService
-	r.src, r.dst = pkt.Src, pkt.Dst
-	r.tPost, r.tSrc, r.tInject, r.tArrive, r.tDone =
-		pkt.tPost, pkt.tSrc, pkt.tInject, pkt.tArrive, pkt.tDone
-}
-
-// Run commits a deferred record at the round barrier and returns it to
-// its NI's pool (the barrier is single-threaded, so touching the NI's
-// free list here is safe).
-func (r *monRec) Run(_, _ sim.Time) {
-	ni := r.ni
-	ni.mon.commit(ni, r)
-	*r = monRec{}
-	ni.monFree = append(ni.monFree, r)
-}
-
-func (ni *NI) getMonRec() *monRec {
-	if n := len(ni.monFree); n > 0 {
-		r := ni.monFree[n-1]
-		ni.monFree[n-1] = nil
-		ni.monFree = ni.monFree[:n-1]
-		return r
-	}
-	return &monRec{}
-}
-
-// record is called by the pipeline on the delivering NI, in that NI's
-// LP context. Serial runs (and lone-mode parallel execution) commit
-// inline; parallel rounds defer to the barrier.
+// record commits a delivered packet's statistics and trace event; the
+// pipeline calls it on the delivering NI.
 func (m *Monitor) record(ni *NI, pkt *Packet) {
-	if ni.eng.Deferring() {
-		r := ni.getMonRec()
-		r.fill(ni, pkt)
-		ni.eng.DeferFlush(r)
-		return
-	}
-	var r monRec
-	r.fill(ni, pkt)
-	m.commit(ni, &r)
-}
-
-func (m *Monitor) commit(ni *NI, r *monRec) {
 	cfg, fab := ni.cfg, ni.fabric
-	st := &m.ByClass[ClassOf(r.size)]
+	st := &m.ByClass[ClassOf(pkt.Size)]
 	st.Packets++
-	st.Bytes += uint64(r.size)
+	st.Bytes += uint64(pkt.Size)
 
 	if m.ByKind == nil {
 		m.ByKind = map[string]*KindStats{}
 	}
-	ks := m.ByKind[r.kind]
+	ks := m.ByKind[pkt.Kind]
 	if ks == nil {
 		ks = &KindStats{}
-		m.ByKind[r.kind] = ks
+		m.ByKind[pkt.Kind] = ks
 	}
 	ks.Packets++
-	ks.Bytes += uint64(r.size)
+	ks.Bytes += uint64(pkt.Size)
 
-	st.Actual[StageSource] += r.tSrc - r.tPost
-	st.Actual[StageLANai] += r.tInject - r.tSrc
-	st.Actual[StageNet] += r.tArrive - r.tSrc
-	st.Actual[StageDest] += r.tDone - r.tArrive
+	st.Actual[StageSource] += pkt.tSrc - pkt.tPost
+	st.Actual[StageLANai] += pkt.tInject - pkt.tSrc
+	st.Actual[StageNet] += pkt.tArrive - pkt.tSrc
+	st.Actual[StageDest] += pkt.tDone - pkt.tArrive
 
 	c := &cfg.Costs
-	pci := c.PCIFixed + sim.Time(float64(r.size)*c.PCIPerByte)
-	fwSend := c.NIPerPacket/sim.Time(cfg.SendPipelining) + sim.Time(float64(r.size)*c.NIPerByte)
-	fwRecv := c.NIPerPacket + sim.Time(float64(r.size)*c.NIPerByte) + r.fwSvc
+	pci := c.PCIFixed + sim.Time(float64(pkt.Size)*c.PCIPerByte)
+	fwSend := c.NIPerPacket/sim.Time(cfg.SendPipelining) + sim.Time(float64(pkt.Size)*c.NIPerByte)
+	fwRecv := c.NIPerPacket + sim.Time(float64(pkt.Size)*c.NIPerByte) + pkt.FwService
 	if cfg.Faults.Enabled {
 		// Reliable delivery charges checksum/seq bookkeeping on both
 		// firmware passes; fold it into the uncontended baseline so
 		// contention ratios stay comparable with faults on.
-		rel := c.NIRelFixed + sim.Time(float64(r.size)*c.NICsumPerByte)
+		rel := c.NIRelFixed + sim.Time(float64(pkt.Size)*c.NICsumPerByte)
 		fwSend += rel
 		fwRecv += rel
 	}
-	outLink := fab.Out[0].ServiceTime(r.size)
+	outLink := fab.Out[0].ServiceTime(pkt.Size)
 
 	uSrc := pci
-	if r.noSrcDMA {
+	if pkt.noSrcDMA {
 		uSrc = 0
 	}
 	uDest := fwRecv
-	if !r.fw {
+	if pkt.FwHandler == nil {
 		uDest += pci
 	}
 	st.Uncontended[StageSource] += uSrc
 	st.Uncontended[StageLANai] += fwSend + outLink
-	st.Uncontended[StageNet] += fwSend + fab.UncontendedNet(r.size)
+	st.Uncontended[StageNet] += fwSend + fab.UncontendedNet(pkt.Size)
 	st.Uncontended[StageDest] += uDest
 
 	if m.Tracer != nil {
 		m.Tracer(TraceEvent{
-			Time: r.tDone, Src: r.src, Dst: r.dst,
-			Size: r.size, Kind: r.kind, Firmware: r.fw,
+			Time: pkt.tDone, Src: pkt.Src, Dst: pkt.Dst,
+			Size: pkt.Size, Kind: pkt.Kind, Firmware: pkt.FwHandler != nil,
 			StageTime: [NumStages]sim.Time{
-				r.tSrc - r.tPost, r.tInject - r.tSrc,
-				r.tArrive - r.tSrc, r.tDone - r.tArrive,
+				pkt.tSrc - pkt.tPost, pkt.tInject - pkt.tSrc,
+				pkt.tArrive - pkt.tSrc, pkt.tDone - pkt.tArrive,
 			},
 		})
 	}

@@ -144,31 +144,9 @@ type NI struct {
 	col *colState
 
 	// pool holds the deterministic free lists for the pooled packet
-	// pipeline (see transit.go). Pools are logical-process-local: in a
-	// parallel run each node LP allocates and recycles only through
-	// pools it owns, so the free lists need no locks.
-	pool pktPool
-
-	// monFree pools deferred monitor records (monitor.go); drawn on
-	// this NI's LP during a parallel round, returned at the barrier.
-	monFree []*monRec
-
-	// fab is the fabric logical process (engine + packet pool), shared
-	// by all NIs of a parallel run; nil in a serial run, which the
-	// transit pipeline uses as the serial/parallel branch.
-	fab *fabLP
-}
-
-// fabLP is the network fabric's logical process: the engine that owns
-// the switch plus the packet/transit pool that fan-out copies are drawn
-// from while a packet is on the fabric.
-type fabLP struct {
-	eng  *sim.Engine
+	// pipeline (see transit.go).
 	pool pktPool
 }
-
-// Eng returns the engine (logical process) this NI executes on.
-func (ni *NI) Eng() *sim.Engine { return ni.eng }
 
 // System is the set of NIs plus the shared fabric and monitor.
 type System struct {
@@ -177,31 +155,22 @@ type System struct {
 	Monitor *Monitor
 }
 
-// NewSystem builds one NI per node on a fresh fabric. Each NI (its
-// engine, DMA/firmware resources, pools, and reliability state) lives
-// on its node's logical process; with a standalone engine LPNode
-// returns eng itself and the system is wired exactly as before.
+// NewSystem builds one NI per node on a fresh fabric.
 func NewSystem(eng *sim.Engine, cfg *topo.Config) *System {
 	fab := network.NewFabric(eng, cfg)
 	mon := &Monitor{}
 	s := &System{Fabric: fab, Monitor: mon}
 	s.NIs = make([]*NI, cfg.Nodes)
-	var fl *fabLP
-	if eng.Parallel() {
-		fl = &fabLP{eng: eng.LPFabric()}
-	}
 	for i := range s.NIs {
-		ne := eng.LPNode(i)
 		s.NIs[i] = &NI{
 			ID:        i,
-			eng:       ne,
+			eng:       eng,
 			cfg:       cfg,
 			fabric:    fab,
 			PostQueue: sim.NewGate(cfg.PostQueueDepth),
-			PCI:       sim.NewResource(ne, "pci"),
-			Firmware:  sim.NewResource(ne, "lanai"),
+			PCI:       sim.NewResource(eng, "pci"),
+			Firmware:  sim.NewResource(eng, "lanai"),
 			mon:       mon,
-			fab:       fl,
 		}
 	}
 	for _, ni := range s.NIs {

@@ -36,16 +36,6 @@ type transit struct {
 	route []int16
 	hop   int8
 
-	// eng is the logical process currently carrying the packet and pool
-	// the free lists owned by that LP (the transit and packet recycle
-	// into the pool of the LP they finish on). Both start at the source
-	// NI and are advanced at the two LP-crossing boundaries — out-link
-	// completion (node -> fabric) and switch completion (fabric ->
-	// destination node). In a serial run they never change, so recycling
-	// stays at the origin NI exactly as before.
-	eng  *sim.Engine
-	pool *pktPool
-
 	// Broadcast template destinations (nil on unicast and per-dst copies).
 	dsts []int
 
@@ -105,14 +95,7 @@ func (t *transit) Run(_, end sim.Time) {
 			r.stamp(t, end)
 		}
 		t.stage = stOutLink
-		if fl := t.ni.fab; fl != nil {
-			// Node -> fabric LP crossing: the out-link is owned by the
-			// source node, its completion runs on the fabric.
-			t.ni.fabric.Out[pkt.Src].TransferCross(pkt.Size, t.eng, fl.eng, t)
-			t.eng, t.pool = fl.eng, &fl.pool
-		} else {
-			t.ni.fabric.Out[pkt.Src].TransferHandler(pkt.Size, t)
-		}
+		t.ni.fabric.Out[pkt.Src].TransferHandler(pkt.Size, t)
 
 	case stOutLink:
 		pkt.tInject = end
@@ -130,11 +113,7 @@ func (t *transit) Run(_, end sim.Time) {
 		t.hop = 0
 		if t.dsts != nil {
 			// Broadcast template: traverse the source's first (leaf)
-			// switch once; fanOut/parFanOut replicate from there.
-			if fl := t.ni.fab; fl != nil {
-				t.parFanOut(fl)
-				return
-			}
+			// switch once; fanOut replicates from there.
 			t.ni.fabric.Switches[t.ni.fabric.Desc.FirstSwitch(pkt.Src)].RouteHandler(t)
 			return
 		}
@@ -148,8 +127,7 @@ func (t *transit) Run(_, end sim.Time) {
 		}
 		if int(t.hop)+1 < len(t.route) {
 			// Multi-stage fabric: more switch hops before the
-			// destination's in-link. Intermediate hops stay on the
-			// fabric LP.
+			// destination's in-link.
 			t.hop++
 			t.enterSwitch()
 			return
@@ -171,7 +149,7 @@ func (t *transit) Run(_, end sim.Time) {
 			}
 			if v.Delay > 0 {
 				t.stage = stFaultDelay
-				t.eng.AtHandler(end+v.Delay, end, t)
+				t.ni.eng.AtHandler(end+v.Delay, end, t)
 				return
 			}
 		}
@@ -210,19 +188,9 @@ func (t *transit) Run(_, end sim.Time) {
 	}
 }
 
-// enterSwitch reserves the route's hop-indexed switch. The final hop's
-// completion is the fabric -> destination-LP crossing in a parallel
-// run (the switch is owned by the fabric, its completion runs at the
-// destination); intermediate hops complete fabric-locally.
+// enterSwitch reserves the route's hop-indexed switch.
 func (t *transit) enterSwitch() {
-	sw := t.ni.fabric.Switches[t.route[t.hop]]
-	if fl := t.ni.fab; fl != nil && int(t.hop) == len(t.route)-1 {
-		de := t.ni.peers[t.pkt.Dst]
-		sw.RouteCross(t.eng, de.eng, t)
-		t.eng, t.pool = de.eng, &de.pool
-		return
-	}
-	sw.RouteHandler(t)
+	t.ni.fabric.Switches[t.route[t.hop]].RouteHandler(t)
 }
 
 // toDstFirmware enqueues the arrived packet on the destination NI's
@@ -241,7 +209,7 @@ func (t *transit) toDstFirmware() {
 // receive gate suppresses whichever of the two arrives second.
 func (t *transit) dupArrival() {
 	pkt := t.pkt
-	cp := t.pool.getPacket()
+	cp := t.ni.pool.getPacket()
 	cp.Src, cp.Dst, cp.Size, cp.Kind = pkt.Src, pkt.Dst, pkt.Size, pkt.Kind
 	cp.Payload = pkt.Payload
 	cp.Meta, cp.Meta2 = pkt.Meta, pkt.Meta2
@@ -249,11 +217,10 @@ func (t *transit) dupArrival() {
 	cp.DeliverTo = pkt.DeliverTo
 	cp.Seq, cp.Ack, cp.Csum, cp.RelFlags = pkt.Seq, pkt.Ack, pkt.Csum, pkt.RelFlags
 	cp.tPost, cp.tSrc, cp.tInject = pkt.tPost, pkt.tSrc, pkt.tInject
-	td := t.pool.getTransit()
+	td := t.ni.pool.getTransit()
 	td.ni = t.ni
 	td.pkt = cp
 	td.stage = stInLink
-	td.eng, td.pool = t.eng, t.pool
 	t.ni.fabric.In[pkt.Dst].TransferHandler(cp.Size, td)
 }
 
@@ -267,7 +234,7 @@ func (t *transit) dupArrival() {
 func (t *transit) fanOut() {
 	tmpl := t.pkt
 	for i, dst := range t.dsts {
-		cp := t.pool.getPacket()
+		cp := t.ni.pool.getPacket()
 		cp.Src, cp.Dst, cp.Size, cp.Kind = tmpl.Src, dst, tmpl.Size, tmpl.Kind
 		cp.Payload = tmpl.Payload
 		cp.Meta, cp.Meta2 = tmpl.Meta, tmpl.Meta2
@@ -282,10 +249,9 @@ func (t *transit) fanOut() {
 			cp.Seq, cp.Ack, cp.RelFlags = e.pkt.Seq, e.pkt.Ack, e.pkt.RelFlags
 			cp.Csum = e.pkt.Csum ^ tmpl.Csum
 		}
-		td := t.pool.getTransit()
+		td := t.ni.pool.getTransit()
 		td.ni = t.ni
 		td.pkt = cp
-		td.eng, td.pool = t.eng, t.pool
 		if route := t.ni.fabric.Route(tmpl.Src, dst); len(route) > 1 {
 			td.stage = stSwitch
 			td.route = route
@@ -299,61 +265,9 @@ func (t *transit) fanOut() {
 	t.recycle()
 }
 
-// parFanOut is the parallel run's broadcast fan-out, executed on the
-// fabric LP when the template's out-link crossing completes. The serial
-// engine routes the template through the switch once and replicates it
-// onto every in-link in a single switch-completion event; here the
-// in-links are owned by the destination LPs, so the fabric reserves the
-// switch occupancy itself and sends each destination its own pooled
-// copy as a switch-completion (stSwitch) event at the routing end time.
-// Each copy then reserves its in-link at the destination at exactly the
-// time the serial fan-out would have, and the per-destination events
-// inherit consecutive action indices of the same out-link event that
-// keyed the serial switch event, so the global event order is
-// preserved. One serial event became len(dsts) events; the count
-// adjustment keeps reported totals identical.
-func (t *transit) parFanOut(fl *fabLP) {
-	tmpl := t.pkt
-	start, routeEnd := t.ni.fabric.Switches[t.ni.fabric.Desc.FirstSwitch(tmpl.Src)].Reserve()
-	for i, dst := range t.dsts {
-		cp := fl.pool.getPacket()
-		cp.Src, cp.Dst, cp.Size, cp.Kind = tmpl.Src, dst, tmpl.Size, tmpl.Kind
-		cp.Payload = tmpl.Payload
-		cp.Meta, cp.Meta2 = tmpl.Meta, tmpl.Meta2
-		cp.DeliverTo = tmpl.DeliverTo
-		cp.FwService = tmpl.FwService
-		cp.tPost, cp.tSrc, cp.tInject = tmpl.tPost, tmpl.tSrc, tmpl.tInject
-		if len(t.entries) > 0 {
-			e := t.entries[i]
-			cp.Seq, cp.Ack, cp.RelFlags = e.pkt.Seq, e.pkt.Ack, e.pkt.RelFlags
-			cp.Csum = e.pkt.Csum ^ tmpl.Csum
-		}
-		td := fl.pool.getTransit()
-		td.ni = t.ni
-		td.pkt = cp
-		td.stage = stSwitch
-		td.route = t.ni.fabric.Route(tmpl.Src, dst)
-		td.hop = 0
-		if len(td.route) > 1 {
-			// The copy has more switch hops: it stays on the fabric LP
-			// (which owns every switch) and crosses to the destination
-			// at its final hop, like a unicast would.
-			td.eng, td.pool = fl.eng, &fl.pool
-			t.eng.AtHandler(routeEnd, start, td)
-			continue
-		}
-		de := t.ni.peers[dst]
-		td.eng, td.pool = de.eng, &de.pool
-		t.eng.Send(de.eng, routeEnd, start, td)
-	}
-	t.eng.AdjustEventCount(1 - int64(len(t.dsts)))
-	t.recycle()
-}
-
-// pktPool holds one logical process's packet and transit free lists.
-// Like memory.BufPool, the lists are plain LIFO slices: each pool is
-// touched only by its owning LP (or by the single-threaded barrier), so
-// reuse order is deterministic run to run and needs no locks.
+// pktPool holds one NI's packet and transit free lists. Like
+// memory.BufPool, the lists are plain LIFO slices, so reuse order is
+// deterministic run to run.
 type pktPool struct {
 	pktFree []*Packet
 	trFree  []*transit
@@ -405,7 +319,7 @@ func (pl *pktPool) putTransit(t *transit) {
 	pl.trFree = append(pl.trFree, t)
 }
 
-// getPacket draws from this NI's own pool (its LP's free lists).
+// getPacket draws from this NI's own pool.
 func (ni *NI) getPacket() *Packet { return ni.pool.getPacket() }
 
 // NewPacket hands callers a pooled Packet for a subsequent Post /
@@ -416,10 +330,10 @@ func (ni *NI) NewPacket() *Packet { return ni.getPacket() }
 
 func (ni *NI) putPacket(p *Packet) { ni.pool.putPacket(p) }
 
-// recycle returns a finished transit and its packet to the pool of the
-// LP it finished on (in a serial run, always the origin NI's pool).
+// recycle returns a finished transit and its packet to the origin NI's
+// pool.
 func (t *transit) recycle() {
-	pl := t.pool
+	pl := &t.ni.pool
 	pl.putPacket(t.pkt)
 	pl.putTransit(t)
 }
@@ -429,7 +343,5 @@ func (ni *NI) newTransit(pkt *Packet) *transit {
 	t := ni.pool.getTransit()
 	t.ni = ni
 	t.pkt = pkt
-	t.eng = ni.eng
-	t.pool = &ni.pool
 	return t
 }

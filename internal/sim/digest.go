@@ -5,8 +5,7 @@ package sim
 // It is not a cryptographic hash: the goal is a cheap, deterministic
 // summary that catches a restore diverging from the run it resumes —
 // every field folded in is a pure function of the executed event prefix,
-// so two runs that executed the same prefix in the same mode produce the
-// same digest.
+// so two runs that executed the same prefix produce the same digest.
 type Digest struct {
 	h uint64
 }
@@ -76,8 +75,10 @@ func (e *Engine) DigestInto(d *Digest) {
 	d.I64(e.now)
 	d.U64(e.seq)
 	d.U64(e.nEvents)
-	d.I64(e.countAdj)
-	d.U64(e.logStart)
+	// Two zero words where the retired parallel engine folded its
+	// event-count correction and commit floor, so digests stay stable.
+	d.U64(0)
+	d.U64(0)
 	d.U64(uint64(e.events.len()))
 	for i := range e.events.a {
 		ev := &e.events.a[i]
@@ -104,38 +105,4 @@ func (g *Gate) DigestInto(d *Digest) {
 	d.U64(uint64(g.q.Len()))
 	d.U64(g.Blocked)
 	d.I64(g.BlockedTime)
-}
-
-// DigestInto folds the cluster's cross-LP synchronization state on top
-// of every member engine's digest: global ordinal counter, commit
-// backlog, held-message floor, and each LP's uncommitted round log and
-// outbox. Deferred handlers contribute their count and positions only
-// (their identities are not portable), which still pins the backlog
-// shape.
-func (cl *Cluster) DigestInto(d *Digest) {
-	d.U64(cl.setupSeq)
-	d.U64(cl.nextOrd)
-	d.U64(uint64(cl.pending))
-	d.I64(cl.heldMin)
-	d.U64(uint64(len(cl.all)))
-	for _, e := range cl.all {
-		e.DigestInto(d)
-		d.U64(uint64(len(e.roundLog)))
-		for i := range e.roundLog {
-			d.I64(e.roundLog[i].at)
-			d.U64(e.roundLog[i].key)
-		}
-		d.U64(uint64(len(e.outbox)))
-		for i := range e.outbox {
-			m := &e.outbox[i]
-			d.I64(m.at)
-			d.I64(m.start)
-			d.U64(m.key)
-		}
-		d.U64(uint64(len(e.defers)))
-		for i := range e.defers {
-			d.U64(e.defers[i].pos)
-			d.I64(e.defers[i].at)
-		}
-	}
 }

@@ -13,7 +13,9 @@
 //     simulations are deterministic and race-free without locks.
 //
 // Ties between events at the same timestamp are broken by scheduling
-// order, which makes runs bit-reproducible.
+// order, which makes runs bit-reproducible. Every simulation runs on one
+// Engine on one goroutine; parallelism is across runs (see the root
+// package's suite runner), never inside one.
 package sim
 
 import (
@@ -120,8 +122,11 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// Engine is a discrete-event simulator. The zero value is not usable;
-// construct with NewEngine.
+// Engine is a discrete-event simulator: one event queue and one virtual
+// clock, executed on the goroutine that calls Run. Every device,
+// process and protocol agent of a simulated cluster schedules on the
+// same Engine, so the global event order is the queue order. The zero
+// value is not usable; construct with NewEngine.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -131,30 +136,6 @@ type Engine struct {
 	stopped bool
 
 	nEvents uint64
-
-	// Parallel (cluster) state; all zero for standalone engines, in
-	// which case every field below is dead and the engine behaves
-	// exactly as before. See plp.go for the synchronization scheme.
-	cl       *Cluster
-	lp       int    // this LP's index in cl.all
-	la       Time   // lookahead: min cross-LP scheduling delta
-	inRound  bool   // runWindow is executing this LP
-	curPos   uint64 // absolute log position of the executing event
-	curOrd   uint64 // lone mode: resolved ordinal of the executing event
-	actIdx   uint64 // scheduling actions taken by the executing event
-	winH     Time   // this round's execution horizon (set by Run loop)
-	logStart uint64 // absolute position of roundLog[0] (commit floor)
-	roundLog []logRec
-	ord      []uint64 // barrier-assigned ordinal per committed log index
-	outbox   []crossMsg
-	defers   []deferRec
-	countAdj int64 // correction added to nEvents by Cluster.Events
-
-	// Membership bookkeeping for the cluster's incremental structures.
-	heapIdx  int32 // index in the cluster's peek heap, -1 when absent
-	peekKey  Time  // cached peek timestamp while in the peek heap
-	touched  bool  // queued in cl.touched for a post-barrier peek sync
-	inLogged bool  // has uncommitted round-log entries (in cl.logged)
 }
 
 // NewEngine returns an empty engine at virtual time zero.
@@ -168,41 +149,6 @@ func (e *Engine) Now() Time { return e.now }
 // Events returns the number of events executed so far.
 func (e *Engine) Events() uint64 { return e.nEvents }
 
-// nextKey returns the ordering key for the next scheduled event. For a
-// standalone engine it is the plain scheduling sequence number; for an
-// LP engine it is a setup, resolved, or provisional structured key (see
-// plp.go) that reproduces the serial tie-break order without a shared
-// hot-path counter.
-func (e *Engine) nextKey() uint64 {
-	cl := e.cl
-	if cl == nil {
-		e.seq++
-		return e.seq
-	}
-	if !cl.exec {
-		cl.setupSeq++
-		if cl.setupSeq >= maxSetup {
-			panic("sim: setup scheduling sequence overflow")
-		}
-		return cl.setupSeq
-	}
-	if cl.lone != e && !e.inRound {
-		panic("sim: scheduling on an LP engine that is not executing (cross-LP event must use Send)")
-	}
-	a := e.actIdx
-	e.actIdx++
-	if a > actMask {
-		panic("sim: too many events scheduled by a single event")
-	}
-	if cl.lone == e {
-		return e.curOrd<<actBits | a
-	}
-	if e.curPos > posMask {
-		panic("sim: round-log position overflow")
-	}
-	return provBit | e.curPos<<actBits | a
-}
-
 // AtHandler schedules h.Run(start, t) at virtual time t. The handler
 // value is stored in the event queue slot directly, so scheduling a
 // pooled record costs zero heap allocations. Ties are broken by
@@ -212,7 +158,8 @@ func (e *Engine) AtHandler(t, start Time, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
-	e.events.push(event{at: t, seq: e.nextKey(), start: start, h: h})
+	e.seq++
+	e.events.push(event{at: t, seq: e.seq, start: start, h: h})
 }
 
 // Stop makes Run return after the current event completes.
@@ -246,135 +193,3 @@ func (e *Engine) Run(deadline Time) Time {
 
 // RunUntilQuiet is Run with no deadline.
 func (e *Engine) RunUntilQuiet() Time { return e.Run(0) }
-
-// LPNode returns the logical-process engine of node i: in a parallel
-// run the LP of the shard the node is mapped to (several nodes may
-// share one LP, see Cluster sharding), on a standalone engine the
-// engine itself. Code that constructs per-node devices calls this so
-// the same construction path serves serial and parallel runs.
-func (e *Engine) LPNode(i int) *Engine {
-	if e.cl == nil {
-		return e
-	}
-	return e.cl.all[e.cl.nodeLP[i]]
-}
-
-// LPFabric returns the network fabric's logical-process engine (the
-// engine itself when standalone); the shared switch lives there.
-func (e *Engine) LPFabric() *Engine {
-	if e.cl == nil {
-		return e
-	}
-	return e.cl.fabric
-}
-
-// Parallel reports whether this engine is an LP of a parallel cluster.
-func (e *Engine) Parallel() bool { return e.cl != nil }
-
-// Send schedules h.Run(start, at) on the engine `to`, which may belong
-// to a different LP. On a standalone engine — or between setup-phase
-// cluster engines, or when to is the sender itself — it is exactly
-// to.AtHandler. During parallel execution a cross-LP send is parked in
-// the sender's outbox and delivered at the round barrier (or pushed
-// directly in lone mode, ending the lone run); either way it burns one
-// action index on the sending event, so the child-order the serial
-// engine would have produced is preserved.
-func (e *Engine) Send(to *Engine, at, start Time, h Handler) {
-	cl := e.cl
-	if cl == nil || !cl.exec || to == e {
-		to.AtHandler(at, start, h)
-		return
-	}
-	if at < e.now+e.la {
-		panic(fmt.Sprintf("sim: cross-LP send at %d violates lookahead (now %d + la %d)", at, e.now, e.la))
-	}
-	if cl.bipartite && e != cl.fabric && to != cl.fabric {
-		panic("sim: shard-to-shard send in a bipartite cluster (cross-LP traffic must pass the fabric LP)")
-	}
-	key := e.nextKey()
-	if cl.lone == e {
-		cl.loneCrossed = true
-		to.events.push(event{at: at, seq: key, start: start, h: h})
-		cl.markTouched(to)
-		return
-	}
-	e.outbox = append(e.outbox, crossMsg{to: to, at: at, start: start, key: key, h: h})
-}
-
-// Deferring reports whether side effects flushed through DeferFlush
-// will be postponed to the round barrier (true only during a parallel
-// round). Callers use it to decide between committing shared-state
-// mutations inline and snapshotting them for deferred commit.
-func (e *Engine) Deferring() bool {
-	cl := e.cl
-	return cl != nil && cl.exec && cl.lone != e
-}
-
-// DeferFlush runs h at the round barrier, after all LPs have finished
-// the round, in the global serial order of the deferring events. Use it
-// for side effects on state shared across LPs (statistics, trace
-// emission) that must not run concurrently but do not influence the
-// simulation itself. Outside a parallel round it runs h inline.
-func (e *Engine) DeferFlush(h Handler) {
-	if !e.Deferring() {
-		h.Run(e.now, e.now)
-		return
-	}
-	e.defers = append(e.defers, deferRec{pos: e.curPos, at: e.now, h: h})
-}
-
-// AdjustEventCount corrects this LP's executed-event count as reported
-// by Cluster.Events. The parallel fabric path turns one serial fan-out
-// event into one arrival event per destination; the site records the
-// difference here so serial and parallel runs report identical totals.
-func (e *Engine) AdjustEventCount(d int64) { e.countAdj += d }
-
-// effKey resolves a provisional key against the ordinals assigned to
-// this LP's committed log prefix at the barrier (positions are
-// absolute; ord is indexed relative to logStart); setup and resolved
-// keys pass through unchanged. Callers guarantee the referenced
-// position has been committed this barrier.
-func (e *Engine) effKey(k uint64) uint64 {
-	if k&provBit == 0 {
-		return k
-	}
-	return e.ord[(k>>actBits&posMask)-e.logStart]<<actBits | k&actMask
-}
-
-// runWindow executes this LP's events with timestamp below the round
-// horizon h, logging each so the barrier can assign global ordinals.
-func (e *Engine) runWindow(h Time) {
-	e.inRound = true
-	for e.events.len() > 0 && e.events.peek().at < h {
-		ev := e.events.pop()
-		e.now = ev.at
-		e.nEvents++
-		e.curPos = e.logStart + uint64(len(e.roundLog))
-		e.actIdx = 0
-		e.roundLog = append(e.roundLog, logRec{at: ev.at, key: ev.seq})
-		ev.h.Run(ev.start, ev.at)
-	}
-	e.inRound = false
-}
-
-// runLone executes this LP while it is the only one with events:
-// ordinals are assigned as events pop (heap order is the global order
-// when every other LP is empty), so no logging or merging is needed.
-// The run ends when the heap drains or an event sends cross-LP — past
-// that point the receiver could react back into this LP, so the
-// cluster must recompute the horizon.
-func (e *Engine) runLone() {
-	cl := e.cl
-	cl.lone = e
-	cl.loneCrossed = false
-	for e.events.len() > 0 && !cl.loneCrossed && !cl.stop {
-		ev := e.events.pop()
-		e.now = ev.at
-		e.nEvents++
-		e.curOrd = cl.nextOrd
-		cl.nextOrd++
-		e.actIdx = 0
-		ev.h.Run(ev.start, ev.at)
-	}
-	cl.lone = nil
-}

@@ -103,12 +103,12 @@ func TestResourceMaxQueuedTracksWorstBacklog(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "bus")
 	atFn(e, 0, func() {
-		r.Reserve(100) // starts at 0, backlog 0
-		r.Reserve(100) // backlog 100
-		r.Reserve(100) // backlog 200
+		r.reserve(100) // starts at 0, backlog 0
+		r.reserve(100) // backlog 100
+		r.reserve(100) // backlog 200
 	})
 	atFn(e, 250, func() {
-		r.Reserve(100) // backlog 50: must not lower the max
+		r.reserve(100) // backlog 50: must not lower the max
 	})
 	e.RunUntilQuiet()
 	if r.MaxQueued != 200 {

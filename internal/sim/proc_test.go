@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // runRecover runs f and returns what it panicked with (nil if nothing).
 func runRecover(f func()) (r any) {
@@ -28,30 +24,6 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 	}
 	if !parked.done {
 		t.Error("the parked process was not released after the panic")
-	}
-}
-
-// The same holds on the PDES cluster, whether the panicking process
-// runs in a parallel round (two LPs active) or in lone mode (one).
-func TestProcPanicSurfacesFromClusterRun(t *testing.T) {
-	for _, procs := range []int{1, 2} {
-		cl := NewCluster(2, 2, 2, 10, 10)
-		eng := cl.Main()
-		var parked *Proc
-		if procs == 2 {
-			parked = eng.LPNode(0).Go("parked", func(p *Proc) { p.Park() })
-		}
-		eng.LPNode(1).Go("boom", func(p *Proc) {
-			p.Sleep(5)
-			panic("boom")
-		})
-		r := runRecover(cl.Run)
-		if !strings.Contains(fmt.Sprint(r), "boom") {
-			t.Fatalf("%d procs: Cluster.Run panicked with %v, want the body's panic", procs, r)
-		}
-		if parked != nil && !parked.done {
-			t.Errorf("%d procs: the parked process was not released after the panic", procs)
-		}
 	}
 }
 

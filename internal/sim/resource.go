@@ -5,7 +5,7 @@ package sim
 // arrival order; each job occupies the server for its service time.
 //
 // Because the engine is sequential, "arrival order" is simply the order
-// of EnqueueHandler/Reserve/Use calls, so a running-tail timestamp
+// of EnqueueHandler/Use calls, so a running-tail timestamp
 // (busyUntil) is a complete FIFO model: a job arriving at time t starts
 // at max(t, busyUntil).
 //
@@ -66,26 +66,6 @@ func (r *Resource) reserve(service Time) (start, end Time) {
 func (r *Resource) EnqueueHandler(service Time, h Handler) (start, end Time) {
 	start, end = r.reserve(service)
 	r.eng.AtHandler(end, start, h)
-	return start, end
-}
-
-// Reserve claims the next FIFO slot without scheduling any completion
-// and returns the job's (start, end); the caller delivers the
-// completion itself (e.g. fanning one reservation out to several
-// logical processes).
-func (r *Resource) Reserve(service Time) (start, end Time) {
-	return r.reserve(service)
-}
-
-// EnqueueHandlerCross is EnqueueHandler for completions that belong to
-// a different logical process: the reservation is made on this resource
-// (which must be owned by the LP `from`, the caller's engine), and the
-// completion h.Run(start, end) is delivered to the LP `to` through
-// from.Send. With a standalone engine (from == to) it is byte-identical
-// to EnqueueHandler, so serial pipelines can call it unconditionally.
-func (r *Resource) EnqueueHandlerCross(from, to *Engine, service Time, h Handler) (start, end Time) {
-	start, end = r.reserve(service)
-	from.Send(to, end, start, h)
 	return start, end
 }
 

@@ -214,6 +214,30 @@ func buildFatTree(nodes, radix int) *FabricDesc {
 	return d
 }
 
+// maxSwitches bounds a fabric's switch count: routes store switch ids
+// as int16.
+const maxSwitches = 1 << 15
+
+// fabricSwitches returns the switch count Config.Fabric builds for
+// nodes hosts at radix (radix >= 4 on clos2/fattree). When the radix
+// alone puts the count past maxSwitches it returns maxSwitches+1
+// instead, so the products below cannot overflow.
+func fabricSwitches(kind TopoKind, nodes, radix int) int {
+	if kind != TopoClos2 && kind != TopoFatTree {
+		return 1
+	}
+	p := radix / 2 // clos2: hosts per leaf and spines; fattree: hosts per edge and edges per pod
+	if p > maxSwitches {
+		return maxSwitches + 1
+	}
+	first := (nodes + p - 1) / p // leaf or edge switches
+	if kind == TopoClos2 {
+		return first + p
+	}
+	pods := (first + p - 1) / p
+	return first + pods*p + p*p
+}
+
 // FabricCapacity returns the maximum host count the topology supports
 // at the given radix (0 = unlimited, for the idealized crossbar).
 func FabricCapacity(kind TopoKind, radix int) int {

@@ -39,6 +39,8 @@ func TestValidateFabricErrorMessages(t *testing.T) {
 			"holds at most 8 nodes, got Nodes = 9"},
 		{"over fattree capacity", func(c *Config) { c.Topo = TopoFatTree; c.SwitchRadix = 4; c.Nodes = 17 },
 			"holds at most 16 nodes, got Nodes = 17"},
+		{"switch ids past int16", func(c *Config) { c.Topo = TopoClos2; c.SwitchRadix = 65536; c.Nodes = 32769 },
+			"needs more than 32768 switches"},
 		{"unknown kind", func(c *Config) { c.Topo = TopoKind(9) },
 			"Topo = 9 invalid"},
 		{"arity", func(c *Config) { c.Collectives = true; c.CollectiveArity = 1 },
@@ -49,8 +51,6 @@ func TestValidateFabricErrorMessages(t *testing.T) {
 			c.SwitchRadix = 64
 			c.Nodes = 1024
 		}, "8*Nodes = 8192 bytes"},
-		{"zero lookahead", func(c *Config) { c.IntraRunWorkers = 4; c.Costs.SwitchFixed = 0 },
-			"lookahead"},
 	}
 	for _, tc := range cases {
 		cfg := Default()

@@ -36,24 +36,12 @@ type Config struct {
 	// improved pipelining that recovered Barnes-spatial).
 	SendPipelining int
 
-	// IntraRunWorkers is the number of OS threads executing one
-	// simulation in parallel (conservative PDES with node-shard logical
-	// processes plus one for the fabric, lookahead derived from
-	// Costs.LinkFixed/SwitchFixed). 0 or 1 selects the serial engine;
-	// any value produces a byte-identical event trace. The cmd-line
-	// knob is -jrun.
+	// IntraRunWorkers is read by nothing: every run executes on the
+	// one serial engine.
+	//
+	// Deprecated: kept only because the benchmark harness still sets
+	// it; removed at the next benchmark change.
 	IntraRunWorkers int
-
-	// LPShards is the number of node-shard logical processes a parallel
-	// run is partitioned into: nodes are block-partitioned onto LPShards
-	// shard LPs (plus one fabric LP), so barrier and merge cost scales
-	// with shards instead of nodes and intra-shard traffic never crosses
-	// an LP boundary. 0 selects the default, min(IntraRunWorkers,
-	// Nodes); values above Nodes are clamped to Nodes (one LP per node,
-	// the pre-sharding shape). Any value produces a byte-identical event
-	// trace. Ignored by the serial engine. The cmd-line knob is
-	// -lpshards.
-	LPShards int
 
 	// Faults configures deterministic network fault injection plus the
 	// NI-firmware reliable-delivery layer that masks it (sequence
@@ -391,15 +379,6 @@ func (c *Config) Validate() error {
 		return errf("PostQueueDepth = %d, need >= 1", c.PostQueueDepth)
 	case c.SendPipelining < 1:
 		return errf("SendPipelining = %d, need >= 1", c.SendPipelining)
-	case c.IntraRunWorkers < 0:
-		return errf("IntraRunWorkers = %d, need >= 0", c.IntraRunWorkers)
-	case c.IntraRunWorkers > 1 && (c.Costs.LinkFixed <= 0 || c.Costs.SwitchFixed <= 0):
-		// Conservative parallel execution derives its lookahead from the
-		// fixed link and switch latencies; zero lookahead cannot make
-		// progress.
-		return errf("IntraRunWorkers = %d needs Costs.LinkFixed > 0 and Costs.SwitchFixed > 0 (lookahead)", c.IntraRunWorkers)
-	case c.LPShards < 0:
-		return errf("LPShards = %d, need >= 0 (0 = auto)", c.LPShards)
 	}
 	if err := c.validateFabric(); err != nil {
 		return err
@@ -420,6 +399,9 @@ func (c *Config) validateFabric() error {
 		case c.Nodes > FabricCapacity(c.Topo, c.SwitchRadix):
 			return errf("Topo %v radix %d holds at most %d nodes, got Nodes = %d",
 				c.Topo, c.SwitchRadix, FabricCapacity(c.Topo, c.SwitchRadix), c.Nodes)
+		case fabricSwitches(c.Topo, c.Nodes, c.SwitchRadix) > maxSwitches:
+			return errf("Topo %v radix %d with %d nodes needs more than %d switches (route tables hold int16 switch ids)",
+				c.Topo, c.SwitchRadix, c.Nodes, maxSwitches)
 		}
 	default:
 		return errf("Topo = %d invalid", int(c.Topo))
@@ -436,37 +418,6 @@ func (c *Config) validateFabric() error {
 		}
 	}
 	return nil
-}
-
-// Lookaheads returns the conservative-PDES lookahead pair for
-// sim.NewCluster: every event a node LP schedules on the fabric LP is
-// an out-link completion at least LinkFixed away; every event the
-// fabric LP schedules on a node LP is that route's final switch-hop
-// completion, at least SwitchFixed away. SwitchFixed is the minimum
-// per-hop cost on any multi-stage route — intermediate hops only ever
-// push the final crossing further out, so the bound holds for every
-// topology.
-func (c *Config) Lookaheads() (node, fabric sim.Time) {
-	return c.Costs.LinkFixed, c.Costs.SwitchFixed
-}
-
-// EffectiveLPShards resolves Config.LPShards: 0 defaults to the worker
-// count (one shard LP per executing thread amortizes scheduling
-// overhead per group, and more shards than workers only adds barrier
-// cost), and the result is clamped to [1, Nodes]. The trace is
-// byte-identical for every value; only performance differs.
-func (c *Config) EffectiveLPShards() int {
-	s := c.LPShards
-	if s == 0 {
-		s = c.IntraRunWorkers
-	}
-	if s > c.Nodes {
-		s = c.Nodes
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 func (fp *FaultPlan) validate(nodes int) error {

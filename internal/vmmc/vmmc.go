@@ -116,7 +116,6 @@ func New(eng *sim.Engine, cfg *topo.Config) *Layer {
 			layer: l,
 			Node:  i,
 			ni:    l.sys.NIs[i],
-			eng:   l.sys.NIs[i].Eng(),
 			locks: map[int]*niLock{},
 			owned: map[int]*ownedLock{},
 		}
@@ -141,12 +140,6 @@ type Endpoint struct {
 	layer *Layer
 	Node  int
 	ni    *nic.NI
-	// eng is this node's logical process (the NI's engine); endpoint
-	// work like the interrupt dispatch must be scheduled here, not on
-	// the layer's construction engine, so it stays LP-local in a
-	// parallel run. Identical to layer.eng in a serial run.
-	eng *sim.Engine
-
 	// Sink receives interrupt-class messages after the interrupt
 	// dispatch delay; the host's protocol process serves it.
 	Sink *sim.Mailbox[Msg]
@@ -341,7 +334,7 @@ func (ep *Endpoint) interrupt(m Msg) {
 		ev = &intrEvent{}
 	}
 	ev.ep, ev.sink, ev.m = ep, sink, m
-	eng := ep.eng
+	eng := ep.layer.eng
 	now := eng.Now()
 	eng.AtHandler(now+ep.layer.cfg.Costs.Interrupt, now, ev)
 }

@@ -27,31 +27,22 @@ func poolUse(t *testing.T, cfg genima.Config, proto genima.Protocol, a genima.Ap
 	return res.PoolMisses, res.PoolFree
 }
 
-// checkNoDrift runs the short and long (4x) variants, serially and as
-// a two-worker parallel run (where a record consumed on another node's
-// logical process returns to its origin at the round barrier). Without
-// drift a pool settles at the high-water mark of its in-flight window,
-// which creeps up only as rarer bursts occur in a longer run; with
-// drift it grows in proportion to run length. So the long run's
-// per-node pool misses and free lists may exceed the short run's by at
-// most a quarter. It returns the long serial run's misses.
+// checkNoDrift runs the short and long (4x) variants. Without drift a
+// pool settles at the high-water mark of its in-flight window, which
+// creeps up only as rarer bursts occur in a longer run; with drift it
+// grows in proportion to run length. So the long run's per-node pool
+// misses and free lists may exceed the short run's by at most a
+// quarter. It returns the long run's misses.
 func checkNoDrift(t *testing.T, name string, cfg genima.Config, proto genima.Protocol, short, long genima.App) uint64 {
 	t.Helper()
-	var serial uint64
-	for _, workers := range []int{1, 2} {
-		cfg.IntraRunWorkers = workers
-		sm, sf := poolUse(t, cfg, proto, short)
-		lm, lf := poolUse(t, cfg, proto, long)
-		t.Logf("%s/%v/j%d: misses %d -> %d, free %d -> %d", name, proto, workers, sm, lm, sf, lf)
-		if lm > sm+sm/4 || lf > sf+sf/4 {
-			t.Errorf("%s/%v/j%d: pools grow with run length: misses %d -> %d, free %d -> %d",
-				name, proto, workers, sm, lm, sf, lf)
-		}
-		if workers == 1 {
-			serial = lm
-		}
+	sm, sf := poolUse(t, cfg, proto, short)
+	lm, lf := poolUse(t, cfg, proto, long)
+	t.Logf("%s/%v: misses %d -> %d, free %d -> %d", name, proto, sm, lm, sf, lf)
+	if lm > sm+sm/4 || lf > sf+sf/4 {
+		t.Errorf("%s/%v: pools grow with run length: misses %d -> %d, free %d -> %d",
+			name, proto, sm, lm, sf, lf)
 	}
-	return serial
+	return lm
 }
 
 // Barrier arrivals and releases live in per-node two-slot rings, so

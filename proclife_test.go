@@ -2,8 +2,8 @@ package genima_test
 
 // Process lifetime: compute processors and the per-node protocol
 // processes are coroutines owned by the engine, and a run must release
-// every one of them when it ends — drained, halted at a checkpoint cut,
-// serial or intra-run parallel. A leaked process pins its whole System,
+// every one of them when it ends — drained or halted at a checkpoint
+// cut. A leaked process pins its whole System,
 // so soak campaigns and repeated library calls would grow without
 // bound.
 
@@ -44,25 +44,22 @@ func TestRepeatedRunsReleaseProcesses(t *testing.T) {
 
 func TestHaltedCheckpointRunReleasesProcesses(t *testing.T) {
 	a, _ := appByName(t, "fft")
-	for _, workers := range []int{1, 2} {
-		cfg := genima.DefaultConfig()
-		cfg.IntraRunWorkers = workers
-		cfg.Faults = genima.FaultMix(0.01, 42)
-		base := runtime.NumGoroutine()
-		boundaries := 0
-		cr, err := genima.RunCheckpointed(cfg, genima.Base, a, genima.CheckpointOptions{
-			Path: filepath.Join(t.TempDir(), "run.ckpt"), Every: 10, App: "fft", Scale: "test",
-			ShouldStop: func() bool {
-				boundaries++
-				return boundaries >= 2
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cr.Interrupted {
-			t.Fatalf("workers=%d: run finished before the halt; shrink Every", workers)
-		}
-		settleGoroutines(t, base, "after a halted checkpoint run")
+	cfg := genima.DefaultConfig()
+	cfg.Faults = genima.FaultMix(0.01, 42)
+	base := runtime.NumGoroutine()
+	boundaries := 0
+	cr, err := genima.RunCheckpointed(cfg, genima.Base, a, genima.CheckpointOptions{
+		Path: filepath.Join(t.TempDir(), "run.ckpt"), Every: 10, App: "fft", Scale: "test",
+		ShouldStop: func() bool {
+			boundaries++
+			return boundaries >= 2
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !cr.Interrupted {
+		t.Fatal("run finished before the halt; shrink Every")
+	}
+	settleGoroutines(t, base, "after a halted checkpoint run")
 }

@@ -134,22 +134,19 @@ func Soak(cfg Config, opts SoakOptions) (*SoakResult, error) {
 		defer f.Close()
 		statsW = f
 	}
-	workers, shards := runMode(&cfg)
 	writeCkpt := func(note string) error {
 		if opts.CheckpointPath == "" {
 			return nil
 		}
 		return checkpoint.Save(opts.CheckpointPath, &Checkpoint{
-			ConfigSum:   checkpoint.ConfigSum(&base),
-			App:         "soak",
-			Proto:       ident,
-			Scale:       scaleName,
-			ModeWorkers: workers,
-			ModeShards:  shards,
-			SoakIter:    iter,
-			SoakEvents:  cum,
-			SoakChain:   chain,
-			Note:        note,
+			ConfigSum:  checkpoint.ConfigSum(&base),
+			App:        "soak",
+			Proto:      ident,
+			Scale:      scaleName,
+			SoakIter:   iter,
+			SoakEvents: cum,
+			SoakChain:  chain,
+			Note:       note,
 		})
 	}
 	result := func(interrupted bool) *SoakResult {

@@ -1,11 +1,11 @@
 package genima_test
 
-// svmkv serving-workload regression: the open-loop KV server must obey
-// the repo's core invariant — packet traces byte-identical for any
-// (-jrun, -lpshards) combination, faults on and off — validate
-// byte-exact against the sequential reference on every protocol rung,
-// compose with the multi-stage fabrics at scale, and report a complete
-// latency distribution through app.Result.
+// svmkv serving-workload regression: the open-loop KV server must
+// validate byte-exact against the sequential reference on every
+// protocol rung and report a complete latency distribution through
+// app.Result. Its packet traces, at test scale and on the multi-stage
+// fabrics at 64 and 512 nodes, must stay byte-identical to the serial
+// goldens in serial_golden_test.go.
 
 import (
 	"testing"
@@ -50,60 +50,22 @@ func TestSvmkvValidatesAcrossLadder(t *testing.T) {
 	}
 }
 
-// TestSvmkvTraceByteIdentical: the serving workload's packet trace must
-// be byte-identical across -jrun 1/2/4, faults on and off, on both an
-// interrupt-driven and a synchronous-NI rung.
+// TestSvmkvTraceByteIdentical: the serving workload's packet trace on
+// the default cluster, on an interrupt-driven and a synchronous-NI
+// rung, faults on and off, is byte-identical to its golden.
 func TestSvmkvTraceByteIdentical(t *testing.T) {
-	for _, proto := range []genima.Protocol{genima.Base, genima.GeNIMA} {
-		for _, faults := range []bool{false, true} {
-			serial := traceHash(t, "svmkv", proto, jrunConfig(1, faults))
-			for _, workers := range []int{2, 4} {
-				if got := traceHash(t, "svmkv", proto, jrunConfig(workers, faults)); got != serial {
-					t.Errorf("svmkv/%v faults=%v: -jrun %d trace differs from serial:\n got %s\nwant %s",
-						proto, faults, workers, got, serial)
-				}
-			}
-		}
-	}
+	checkGoldens(t, func(app string, f goldenFabric) bool { return app == "svmkv" && f.nodes == 0 })
 }
 
 // TestSvmkvScaleTraceByteIdentical composes the serving workload with
-// the multi-stage fabrics at 64–512 nodes: byte-identical across
-// -jrun 1/4 x -lpshards 1/8/auto, with and without faults. The 512-node
-// fat-tree leg is skipped under -short (same budget rule as
-// TestIntraRunScaleTraceByteIdentical).
+// the multi-stage fabrics at 64 and 512 nodes, faults on and off,
+// against the goldens. The 512-node points are skipped under -short.
 func TestSvmkvScaleTraceByteIdentical(t *testing.T) {
-	for _, pt := range []struct {
-		name        string
-		nodes       int
-		topo        genima.Topology
-		radix       int
-		proto       genima.Protocol
-		collectives bool
-	}{
-		{"clos2-64", 64, genima.TopoClos2, 16, genima.GeNIMA, true},
-		{"fattree-512", 512, genima.TopoFatTree, 16, genima.Base, false},
-	} {
-		if pt.nodes >= 512 && testing.Short() {
-			continue
-		}
-		for _, faults := range []bool{false, true} {
-			serial := traceHash(t, "svmkv", pt.proto,
-				scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 1, 0, faults))
-			for _, shards := range []int{1, 8, 0} {
-				got := traceHash(t, "svmkv", pt.proto,
-					scaleMatrixConfig(pt.nodes, pt.topo, pt.radix, pt.collectives, 4, shards, faults))
-				if got != serial {
-					t.Errorf("svmkv %s faults=%v: -jrun 4 -lpshards %d trace differs from serial:\n got %s\nwant %s",
-						pt.name, faults, shards, got, serial)
-				}
-			}
-		}
-	}
+	checkGoldens(t, func(app string, f goldenFabric) bool { return app == "svmkv" && f.nodes > 0 })
 }
 
 // TestSvmkvLatencySummary sanity-checks the merged latency report of a
-// parallel run: every request accounted for, quantiles monotone, and a
+// run: every request accounted for, quantiles monotone, and a
 // positive throughput over the run's elapsed virtual time.
 func TestSvmkvLatencySummary(t *testing.T) {
 	a, _ := appByName(t, "svmkv")
