@@ -1,18 +1,24 @@
 # Tier-1 verification and perf targets. `make check` is the one-command
-# gate: build, vet, tests, and the race detector over the concurrent
-# suite runner.
+# gate: build, vet (with a gofmt check), tests, the race detector, short
+# fuzzing and the end-to-end smokes. `make bench-ab`, the same-box
+# performance gate against the parent commit, takes minutes and is not
+# part of check.
 
 GO ?= go
 
-.PHONY: check build vet test race fuzz smoke-faults smoke-scale smoke-soak smoke-serve bench-smoke bench-json bench-mem bench-guard
+.PHONY: check build vet test race fuzz smoke-faults smoke-scale smoke-soak smoke-serve bench-smoke bench-mem bench-ab
 
 check: build vet test race fuzz smoke-faults smoke-scale smoke-soak smoke-serve
 
 build:
 	$(GO) build ./...
 
+# vet also fails if any Go file outside the dot-directories (build
+# outputs, VCS) is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -137,13 +143,9 @@ bench-smoke:
 bench-mem:
 	$(GO) test -run xxx -bench . -benchmem ./internal/vmmc ./internal/sim
 
-# bench-json refreshes BENCH_sim.json: the wall-clock serial-vs-parallel
-# suite comparison for the perf trajectory (see DESIGN.md §7).
-bench-json:
-	$(GO) run ./cmd/genima-bench -benchjson BENCH_sim.json -scale test -q
-
-# bench-guard fails if serial suite throughput regressed more than 25%
-# against the committed BENCH_sim.json baseline (best of two passes, so
-# one scheduling hiccup on a shared box does not fail the build).
-bench-guard:
-	$(GO) run ./cmd/genima-bench -benchguard BENCH_sim.json -q
+# bench-ab is the performance gate: interleaved perfbench pairs of the
+# parent commit and the working tree on this machine, failing when an
+# end-to-end metric is worse than its BENCHMARK.json bound (see
+# scripts/bench-ab.sh). It takes about 4 minutes on a 2-CPU box.
+bench-ab:
+	bash scripts/bench-ab.sh HEAD^1

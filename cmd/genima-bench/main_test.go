@@ -29,7 +29,7 @@ func TestParseExperimentsAcceptsValidNames(t *testing.T) {
 
 func TestParseExperimentsRejectsUnknownNames(t *testing.T) {
 	for _, in := range []string{
-		"serv",       // the typo class that used to silently run nothing
+		"serv", // the typo class that used to silently run nothing
 		"fig2,tabel3",
 		"bogus",
 		"all,xyzzy",

@@ -823,9 +823,6 @@ func Serve(scale Scale, seed uint64, progress func(string)) (*ServeData, error) 
 	return d, nil
 }
 
-// Cell returns the measurement for (protocol, load index, rate index).
-func (d *ServeData) Cell(k Protocol, load, rate int) ServeCell { return d.Cells[k][load][rate] }
-
 // String renders the sweep as the protocol × load × fault-rate table.
 func (d *ServeData) String() string {
 	t := stats.NewTable("Protocol", "Load", "Faults", "kreq/s", "p50 us", "p90 us", "p99 us", "p999 us", "max us")

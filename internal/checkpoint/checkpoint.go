@@ -34,7 +34,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"genima/internal/sim"
 	"genima/internal/topo"
 )
 
@@ -308,6 +307,3 @@ func (st *State) decode(payload []byte) error {
 	}
 	return nil
 }
-
-// SimTimeT returns the cut's virtual clock as a sim.Time.
-func (st *State) SimTimeT() sim.Time { return sim.Time(st.SimTime) }

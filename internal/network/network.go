@@ -49,11 +49,6 @@ type Switch struct {
 	fixed sim.Time
 }
 
-// NewSwitch creates the crossbar.
-func NewSwitch(eng *sim.Engine, fixed sim.Time) *Switch {
-	return &Switch{res: sim.NewResource(eng, "switch"), fixed: fixed}
-}
-
 // NewSwitchNamed creates one switch of a multi-stage fabric.
 func NewSwitchNamed(eng *sim.Engine, name string, fixed sim.Time) *Switch {
 	return &Switch{res: sim.NewResource(eng, name), fixed: fixed}
